@@ -1,8 +1,9 @@
 /**
  * @file
- * The unified PerfLab runner: every bench source in this target is
- * compiled with AW_PERFLAB_HARNESS (dropping standalone mains), so one
- * binary can list, filter, run, and perf-gate the whole registry.
+ * The unified PerfLab runner: one binary that can list, filter, run,
+ * and perf-gate the whole registry. The perflab_* benches have no other
+ * entry point; the dual-mode ablation and fig05 sources are compiled
+ * here with AW_PERFLAB_HARNESS, which drops their standalone mains.
  */
 #include "perflab/perflab.hpp"
 

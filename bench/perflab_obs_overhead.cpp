@@ -176,11 +176,3 @@ obsFini(perflab::BenchContext &ctx)
 });
 
 } // namespace
-
-#ifndef AW_PERFLAB_HARNESS
-int
-main(int argc, char **argv)
-{
-    return aw::perflab::runMain(argc, argv);
-}
-#endif

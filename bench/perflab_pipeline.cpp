@@ -136,11 +136,3 @@ pipelineFini(perflab::BenchContext &ctx)
 });
 
 } // namespace
-
-#ifndef AW_PERFLAB_HARNESS
-int
-main(int argc, char **argv)
-{
-    return aw::perflab::runMain(argc, argv);
-}
-#endif

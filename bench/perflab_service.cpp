@@ -243,14 +243,14 @@ serviceFini(perflab::BenchContext &ctx)
 // service_batch: the duplicate-heavy scenario. Each round pipelines one
 // burst of 20 requests — 4 fresh kernels x 5 concurrent duplicates
 // (80% duplicate share) — into a daemon running the full duplicate-work
-// eliminator (singleflight + micro-batch window + shared memo). fini
-// re-measures the identical burst shape against a daemon with the
-// eliminator off (exact PR 8 path) and gates a >= 3x speedup, then
-// gates the cross-process memo: a second daemon sharing only the memo
-// directory must answer a repeated request byte-identically without
-// admitting a single job. Kernels are unique per process run AND per
-// burst, so neither the in-process memo nor the on-disk activity cache
-// can serve a duplicate — only the eliminator under test can.
+// eliminator (singleflight + shared memo). fini re-measures the
+// identical burst shape against a daemon with coalescing off and gates
+// a >= 3x speedup, then gates the cross-process memo: a second daemon
+// sharing only the memo directory must answer a repeated request
+// byte-identically without admitting a single job. Kernels are unique
+// per process run AND per burst, so neither the in-process memo nor the
+// on-disk activity cache can serve a duplicate — only the eliminator
+// under test can.
 
 const char *const kBatchCacheDir = "results/perf_service_batch_cache";
 const char *const kBatchMemoDir = "results/perf_service_batch_memo";
@@ -401,7 +401,6 @@ serviceBatchInit(perflab::BenchContext &ctx)
     opts.threads = 2;
     opts.maxQueue = 128;
     opts.defaultDeadlineMs = 60e3;
-    opts.batchWindowUs = 200;
     opts.sharedMemoDir = kBatchMemoDir;
     // coalesce is already on by default; spelled out for contrast with
     // the eliminator-off daemon in fini.
@@ -441,7 +440,7 @@ serviceBatchFini(perflab::BenchContext &ctx)
         opts.threads = 2;
         opts.maxQueue = 128;
         opts.defaultDeadlineMs = 60e3;
-        opts.coalesce = false; // the exact PR 8 serving path
+        opts.coalesce = false; // every duplicate is simulated again
         service::AwdServer off(opts);
         std::string error;
         if (!off.start(error)) {
@@ -494,8 +493,6 @@ serviceBatchFini(perflab::BenchContext &ctx)
     }
 
     const long coalesced = batchStat(*g_batchServer, "coalesced");
-    const long batches = batchStat(*g_batchServer, "batches");
-    const long batched = batchStat(*g_batchServer, "batched");
     g_batchServer->requestStop();
     const int drainRc = g_batchServer->wait();
     g_batchServer.reset();
@@ -543,8 +540,6 @@ serviceBatchFini(perflab::BenchContext &ctx)
                                   : 0);
     ctx.setExtra("speedup_vs_uncoalesced", speedup);
     ctx.setExtra("coalesced", static_cast<double>(coalesced));
-    ctx.setExtra("batches", static_cast<double>(batches));
-    ctx.setExtra("batched", static_cast<double>(batched));
     ctx.setExtra("bad_replies", static_cast<double>(g_batchBad + offBad));
     ctx.setExtra("shared_admitted", static_cast<double>(sharedAdmitted));
     ctx.setExtra("shared_memo_hits", static_cast<double>(sharedHits));
@@ -555,11 +550,10 @@ serviceBatchFini(perflab::BenchContext &ctx)
                      : 0);
 
     std::printf("  burst %.0fx dup=%d%%: on %.1f ms, off %.1f ms, "
-                "speedup %.2fx (coalesced %ld, batched %ld/%ld)\n",
+                "speedup %.2fx (coalesced %ld)\n",
                 static_cast<double>(kBurstKernels) * kBurstDuplicates,
                 100 * (kBurstDuplicates - 1) / kBurstDuplicates,
-                onMinSec * 1e3, offMinSec * 1e3, speedup, coalesced,
-                batched, batches);
+                onMinSec * 1e3, offMinSec * 1e3, speedup, coalesced);
     std::printf("  shared memo: admitted %ld, hits %ld, reply %s\n",
                 sharedAdmitted, sharedHits,
                 byteIdentical ? "byte-identical" : "MISMATCH");
@@ -597,11 +591,3 @@ serviceBatchFini(perflab::BenchContext &ctx)
 });
 
 } // namespace
-
-#ifndef AW_PERFLAB_HARNESS
-int
-main(int argc, char **argv)
-{
-    return aw::perflab::runMain(argc, argv);
-}
-#endif

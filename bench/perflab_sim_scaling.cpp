@@ -245,11 +245,3 @@ scalingFini(perflab::BenchContext &ctx)
 });
 
 } // namespace
-
-#ifndef AW_PERFLAB_HARNESS
-int
-main(int argc, char **argv)
-{
-    return aw::perflab::runMain(argc, argv);
-}
-#endif

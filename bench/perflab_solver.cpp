@@ -241,11 +241,3 @@ tuneFini(perflab::BenchContext &ctx)
 });
 
 } // namespace
-
-#ifndef AW_PERFLAB_HARNESS
-int
-main(int argc, char **argv)
-{
-    return aw::perflab::runMain(argc, argv);
-}
-#endif

@@ -53,7 +53,7 @@ usage()
         "AW_SERVICE_PORT or ephemeral)\n"
         "  --port-file PATH  publish the bound port to PATH (atomic)\n"
         "  --threads N       estimation workers (AW_SERVICE_THREADS)\n"
-        "  --max-queue N     run-queue hard bound (AW_SERVICE_MAX_QUEUE)\n"
+        "  --max-queue N     run-queue bound (AW_SERVICE_MAX_QUEUE)\n"
         "  --deadline-ms MS  default request deadline "
         "(AW_SERVICE_DEADLINE_MS)\n"
         "  --cards CSV       served cards (AW_SERVICE_CARDS; default "
@@ -107,7 +107,7 @@ main(int argc, char **argv)
             usage();
     }
     if (opts.port < 0 || opts.port > 65535 || opts.threads < 1 ||
-        opts.maxQueue < 2)
+        opts.maxQueue < 1)
         usage();
 
     service::AwdServer server(opts);

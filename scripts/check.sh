@@ -262,19 +262,19 @@ service_leg() {
     fi
 
     # Duplicate-work eliminator under chaos: two daemons share one
-    # cross-process memo directory with the micro-batch window on. The
-    # same seeded fault traffic hits both — the second largely serves
-    # from entries the first published — and both must survive it and
-    # drain cleanly on SIGTERM, exactly like the plain-config daemon.
-    echo "== service: eliminator leg (batching + shared memo, 2 daemons)"
+    # cross-process memo directory. The same seeded fault traffic hits
+    # both — the second largely serves from entries the first published
+    # — and both must survive it and drain cleanly on SIGTERM, exactly
+    # like the plain-config daemon.
+    echo "== service: eliminator leg (shared memo, 2 daemons)"
     local memodir="${dir}/awd.shared-memo"
     local port_a="${dir}/awd-a.port" port_b="${dir}/awd-b.port"
     rm -rf "${memodir}"
     rm -f "${port_a}" "${port_b}"
-    AW_SERVICE_BATCH_WINDOW_US=200 AW_SERVICE_SHARED_MEMO_DIR="${memodir}" \
+    AW_SERVICE_SHARED_MEMO_DIR="${memodir}" \
         "${dir}/examples/awd" --port-file "${port_a}" --threads 2 &
     local pid_a=$!
-    AW_SERVICE_BATCH_WINDOW_US=200 AW_SERVICE_SHARED_MEMO_DIR="${memodir}" \
+    AW_SERVICE_SHARED_MEMO_DIR="${memodir}" \
         "${dir}/examples/awd" --port-file "${port_b}" --threads 2 &
     local pid_b=$!
     trap 'kill "${pid_a}" "${pid_b}" 2>/dev/null || true' RETURN

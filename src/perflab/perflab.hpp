@@ -19,11 +19,12 @@
  * AW_BENCH_SLOWDOWN=<factor> synthetically inflates measured round
  * times so the gate's failure path is itself testable.
  *
- * Two link modes: `bench/harness.cpp` builds every registered bench
- * into the unified `aw_bench` runner (bench sources compiled with
- * AW_PERFLAB_HARNESS to drop their standalone mains); a figure bench
- * compiled standalone keeps a one-line `main` that calls runMain() and
- * therefore only sees its own registrations.
+ * `bench/harness.cpp` builds every registered bench into the unified
+ * `aw_bench` runner, the one entry point of the perflab_* benches. The
+ * ablation and fig05 sources are paper experiments as well, so they
+ * also build standalone: there a one-line `main` calls runMain() and
+ * sees only its own registrations, and aw_bench compiles them with
+ * AW_PERFLAB_HARNESS to drop that main.
  */
 #pragma once
 

@@ -143,55 +143,6 @@ Estimator::warmup()
 }
 
 EstimateResponse
-Estimator::evaluateWith(Card &card, Variant variant,
-                        const AccelWattchModel &model, const Job &job)
-{
-    using Clock = std::chrono::steady_clock;
-    const EstimateRequest &req = job.req;
-
-    KernelActivity act;
-    if (req.hasActivity) {
-        act = req.activity;
-    } else {
-        SimOptions opts;
-        opts.freqGhz = req.freqGhz;
-        const int detail = job.degrade ? 1 : req.detail;
-        if (detail > 0)
-            opts.detailSms = detail;
-        opts.cancel = job.cancel.get();
-        const GpuSimulator &sim = card.cal->simulator();
-        act = variant == Variant::PtxSim
-                  ? sim.runPtx(req.kernel, opts)
-                  : runSassCached(sim, req.kernel, opts);
-        // The watchdog flips the flag only past the deadline, so a set
-        // flag means this run (or its tail) is already late. Checking
-        // the flag — not lastSimRunStats().cancelled — stays correct on
-        // result-cache hits, where no simulation ran at all.
-        if (job.cancel && job.cancel->load(std::memory_order_relaxed))
-            return deadlineResponse(req.id);
-    }
-
-    const PowerBreakdown b = model.evaluateKernel(act);
-    EstimateResponse resp;
-    resp.id = req.id;
-    resp.powerW = b.totalW();
-    resp.elapsedSec = act.elapsedSec;
-    resp.energyJ = resp.powerW * act.elapsedSec;
-    resp.constW = b.constW;
-    resp.staticW = b.staticW;
-    resp.idleSmW = b.idleSmW;
-    resp.dynamicW = b.dynamicTotalW();
-    if (job.degrade) {
-        resp.degraded = "reduced_fidelity";
-        obs::metrics().counter("service.degraded").add(1);
-    }
-    if (Clock::now() > job.effectiveDeadline())
-        return deadlineResponse(req.id);
-    obs::metrics().counter("service.ok").add(1);
-    return resp;
-}
-
-EstimateResponse
 Estimator::run(const Job &job)
 {
     using Clock = std::chrono::steady_clock;
@@ -219,54 +170,41 @@ Estimator::run(const Job &job)
         model = &card->cal->variant(variant).model;
     }
 
-    return evaluateWith(*card, variant, *model, job);
-}
-
-void
-Estimator::runBatch(const std::vector<Job> &jobs,
-                    std::vector<EstimateResponse> &out)
-{
-    using Clock = std::chrono::steady_clock;
-    out.clear();
-    if (jobs.empty())
-        return;
-
-    // All jobs are batchCompatible: one card lookup, one variant
-    // resolution, and one calibrated-model fetch (the per-card mutex)
-    // serve the whole batch.
-    const EstimateRequest &head = jobs.front().req;
-    Card *card = findCard(head.card);
-    Variant variant{};
-    const bool variantOk = variantFromToken(head.variant, variant);
-    const AccelWattchModel *model = nullptr;
-    if (card && variantOk) {
-        std::lock_guard<std::mutex> lock(card->mu);
-        model = &card->cal->variant(variant).model;
+    KernelActivity act;
+    if (req.hasActivity) {
+        act = req.activity;
+    } else {
+        SimOptions opts;
+        opts.freqGhz = req.freqGhz;
+        if (req.detail > 0)
+            opts.detailSms = req.detail;
+        opts.cancel = job.cancel.get();
+        const GpuSimulator &sim = card->cal->simulator();
+        act = variant == Variant::PtxSim
+                  ? sim.runPtx(req.kernel, opts)
+                  : runSassCached(sim, req.kernel, opts);
+        // The watchdog flips the flag only past the deadline, so a set
+        // flag means this run (or its tail) is already late. Checking
+        // the flag — not lastSimRunStats().cancelled — stays correct on
+        // result-cache hits, where no simulation ran at all.
+        if (job.cancel && job.cancel->load(std::memory_order_relaxed))
+            return deadlineResponse(req.id);
     }
 
-    out.reserve(jobs.size());
-    for (const Job &job : jobs) {
-        const EstimateRequest &req = job.req;
-        obs::metrics().counter("service.estimates").add(1);
-        if (Clock::now() >= job.effectiveDeadline() ||
-            (job.cancel && job.cancel->load(std::memory_order_relaxed))) {
-            out.push_back(deadlineResponse(req.id));
-            continue;
-        }
-        if (!card) {
-            out.push_back(errorResponse(req.id, "protocol_error",
-                                        "unknown card '" + req.card +
-                                            "'"));
-            continue;
-        }
-        if (!variantOk) {
-            out.push_back(errorResponse(req.id, "protocol_error",
-                                        "unknown variant '" +
-                                            req.variant + "'"));
-            continue;
-        }
-        out.push_back(evaluateWith(*card, variant, *model, job));
-    }
+    const PowerBreakdown b = model->evaluateKernel(act);
+    EstimateResponse resp;
+    resp.id = req.id;
+    resp.powerW = b.totalW();
+    resp.elapsedSec = act.elapsedSec;
+    resp.energyJ = resp.powerW * act.elapsedSec;
+    resp.constW = b.constW;
+    resp.staticW = b.staticW;
+    resp.idleSmW = b.idleSmW;
+    resp.dynamicW = b.dynamicTotalW();
+    if (Clock::now() > job.effectiveDeadline())
+        return deadlineResponse(req.id);
+    obs::metrics().counter("service.ok").add(1);
+    return resp;
 }
 
 bool

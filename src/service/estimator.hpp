@@ -22,9 +22,8 @@
  * The memo is content-addressed (requestContentKey) and two-level.
  * L1 is the in-process table, bounded by entry count and optionally by
  * total bytes (FIFO eviction either way): it serves repeat requests
- * inline from the reactor and doubles as the cached-fallback tier of
- * graceful degradation — under overload, a request whose answer is
- * memoized is served stale (`degraded: "cached"`) instead of shed.
+ * inline from the reactor (`degraded: "cached"`) before admission, so
+ * under overload a request whose answer is memoized is never shed.
  * L2 (optional, setSharedMemoDir) is a cross-process FileEntryStore:
  * ok-responses are written through on compute and promoted into L1 on
  * hit, so a fleet of daemons sharing one directory converges to one
@@ -88,16 +87,6 @@ class Estimator
      * error / deadline response.
      */
     EstimateResponse run(const Job &job);
-
-    /**
-     * Evaluate a batch of mutually batchCompatible jobs in one pass:
-     * the card lookup, variant resolution, and calibrated-model fetch
-     * (the per-card mutex) are paid once, then each job's activity is
-     * sourced and evaluated with its own deadline/cancel semantics.
-     * `out[i]` answers `jobs[i]`, bit-identical to run(jobs[i]).
-     */
-    void runBatch(const std::vector<Job> &jobs,
-                  std::vector<EstimateResponse> &out);
 
     /** L1 memo lookup by content key; true on hit (a *copy* is
      *  returned — callers patch per-request fields like id). */
@@ -176,12 +165,6 @@ class Estimator
     /** Run one bounded sweep of the shared directory (no-op unless a
      *  store is attached and a byte or TTL bound is set). */
     void sweepShared();
-    /** Activity sourcing + model evaluation for one job whose card /
-     *  variant / model are already resolved (run and runBatch share
-     *  this, so batched answers are bit-identical to unbatched). */
-    EstimateResponse evaluateWith(Card &card, Variant variant,
-                                  const AccelWattchModel &model,
-                                  const Job &job);
 
     std::vector<std::string> cardNames_;
     std::vector<std::unique_ptr<Card>> cards_;

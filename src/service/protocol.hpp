@@ -26,9 +26,9 @@
  *              scope is a range-checked protocol error.
  *
  * Responses (`status`): ok | shed | deadline | error. A shed response
- * carries `retry_after_ms` (structured backpressure); a degraded one
- * flags how (`degraded`: reduced_fidelity | cached); an idempotent
- * replay sets `replayed`.
+ * carries `retry_after_ms` (structured backpressure); a memo-served one
+ * sets `degraded: "cached"` (the field is `none | cached`); an
+ * idempotent replay sets `replayed`.
  */
 #pragma once
 
@@ -133,7 +133,7 @@ struct EstimateResponse
 {
     std::string status = "ok"; ///< ok | shed | deadline | error
     std::string id;
-    std::string degraded = "none"; ///< none | reduced_fidelity | cached
+    std::string degraded = "none"; ///< none | cached
     bool replayed = false;         ///< idempotent replay of a past result
     double retryAfterMs = 0;       ///< shed only: structured backpressure
 

@@ -2,13 +2,13 @@
  * @file
  * Bounded admission-controlled run queue of the awd daemon.
  *
- * The queue is the server's backpressure point: the reactor classifies
- * every estimate against the current depth *before* enqueueing —
- * Accept below the soft limit, Degrade (forced reduced fidelity)
- * between the soft and hard limits, Shed at the hard limit — so the
- * daemon's memory footprint and queueing delay stay bounded no matter
- * the offered load. Shedding is a structured response with a
- * retry-after hint, never a dropped connection.
+ * The queue is the server's backpressure point: an estimate that is
+ * neither replayed, memoized nor attached to an identical in-flight job
+ * is pushed here at the fidelity it asked for, and a push refused at
+ * the bound is shed — so the daemon's memory footprint and queueing
+ * delay stay bounded no matter the offered load. Shedding is a
+ * structured response with a retry-after hint, never a dropped
+ * connection.
  *
  * close() drains: pending jobs keep flowing to workers, pop() returns
  * false only once the queue is both closed and empty. That is the
@@ -23,20 +23,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/service_obs.hpp"
 
 namespace aw::service {
-
-/** Admission decision for one estimate at the current queue depth. */
-enum class Admission : uint8_t
-{
-    Accept,  ///< run at requested fidelity
-    Degrade, ///< run at reduced fidelity (soft limit crossed)
-    Shed     ///< reject with retry_after_ms (hard limit reached)
-};
 
 /** One admitted request on its way to a worker. */
 struct Job
@@ -59,7 +50,6 @@ struct Job
     /** Deadline-cancellation flag, shared with the watchdog and
      *  propagated into SimOptions::cancel. */
     std::shared_ptr<std::atomic<bool>> cancel;
-    bool degrade = false;    ///< admitted under the soft limit: detail 1
     /**
      * Lifecycle span, allocated by the reactor only when one of the
      * server's observability knobs is on (null otherwise — the
@@ -82,52 +72,27 @@ struct Job
     }
 };
 
-/** True when two queued jobs may share one estimator pass: same card,
- *  variant, clock, fidelity (requested detail AND degrade decision),
- *  and both kernel-descriptor requests (activity blobs skip simulation
- *  — there is nothing to share). Per-request results still split out
- *  individually, so batching never changes any answer. */
-bool batchCompatible(const Job &a, const Job &b);
-
-/** Bounded MPMC queue with the admission ladder above. */
+/** Bounded MPMC queue: a push either fits under the bound or is shed. */
 class RequestQueue
 {
   public:
-    /** softLimit < hardLimit; both >= 1. */
-    RequestQueue(size_t softLimit, size_t hardLimit);
+    /** bound >= 1: the most jobs that may wait at once. */
+    explicit RequestQueue(size_t bound);
 
-    /** Classify a would-be push against the current depth. */
-    Admission classify() const;
-
-    /** Enqueue; false when the hard limit is reached or the queue is
-     *  closed (callers then shed). */
+    /** Enqueue; false when the bound is reached or the queue is closed
+     *  (callers then shed). */
     bool push(Job job);
 
     /** Blocking dequeue; false once closed *and* empty (worker exit). */
     bool pop(Job &out);
 
-    /**
-     * Blocking dequeue of up to `maxBatch` mutually batchCompatible
-     * jobs. The first job is taken as pop() would; with a positive
-     * `windowSec` the call then gathers compatible jobs from anywhere
-     * in the queue, waiting out the window for more arrivals (close()
-     * cuts the wait short, so a drain is never delayed). Incompatible
-     * jobs stay queued for other workers. windowSec <= 0 degenerates
-     * to exactly pop() — a size-1 batch with no wait and no scan.
-     * False once closed and empty.
-     */
-    bool popBatch(std::vector<Job> &out, size_t maxBatch,
-                  double windowSec);
-
     /** Stop admitting; wake every waiter. Pending jobs still drain. */
     void close();
 
     size_t depth() const;
-    bool closed() const;
 
   private:
-    const size_t soft_;
-    const size_t hard_;
+    const size_t bound_;
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::deque<Job> jobs_;

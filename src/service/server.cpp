@@ -144,7 +144,6 @@ struct Flight
     std::string key;     ///< content key (for the attach-index cleanup)
     std::shared_ptr<std::atomic<int64_t>> deadlineNs;
     std::shared_ptr<std::atomic<bool>> cancel;
-    bool degrade = false; ///< leader runs at reduced fidelity
     /** The originating subscriber hung up (followers remain). The
      *  completion's served accounting uses this: finishJob already
      *  counted the computation itself, which stands in for the leader
@@ -170,13 +169,11 @@ ServerOptions::fromEnvironment()
     opts.threads = static_cast<int>(
         envLong("AW_SERVICE_THREADS", opts.threads, 1, 256));
     opts.maxQueue = static_cast<int>(
-        envLong("AW_SERVICE_MAX_QUEUE", opts.maxQueue, 2, 1 << 20));
+        envLong("AW_SERVICE_MAX_QUEUE", opts.maxQueue, 1, 1 << 20));
     opts.defaultDeadlineMs = envDouble(
         "AW_SERVICE_DEADLINE_MS", opts.defaultDeadlineMs, 1, 86400e3);
     opts.idleTimeoutMs =
         envDouble("AW_SERVICE_IDLE_MS", opts.idleTimeoutMs, 10, 86400e3);
-    opts.batchWindowUs = envDouble("AW_SERVICE_BATCH_WINDOW_US",
-                                   opts.batchWindowUs, 0, 1e6);
     opts.memoBytes =
         envLong("AW_SERVICE_MEMO_BYTES", opts.memoBytes, 0, 1L << 40);
     if (const char *dir = std::getenv("AW_SERVICE_SHARED_MEMO_DIR");
@@ -218,9 +215,7 @@ struct AwdServer::Impl
 {
     explicit Impl(ServerOptions o)
         : opts(std::move(o)), estimator(opts.cards),
-          queue(std::max<size_t>(
-                    1, static_cast<size_t>(opts.maxQueue) * 3 / 4),
-                static_cast<size_t>(opts.maxQueue))
+          queue(static_cast<size_t>(opts.maxQueue))
     {
         if (opts.memoBytes > 0)
             estimator.setMemoByteLimit(
@@ -274,12 +269,11 @@ struct AwdServer::Impl
     std::unordered_map<uint64_t, Session> sessions;
     /** Every queued job owns a flight, keyed by its unique tag — NOT by
      *  content key: identical keys legitimately coexist when coalescing
-     *  is off, or when the first admission was Degrade (not attachable)
-     *  and a full-fidelity duplicate was admitted behind it. */
+     *  is off. */
     std::unordered_map<uint64_t, Flight> flights;
-    /** Which flight new duplicates attach to, one slot per content key.
-     *  Last admission wins the slot (a full-fidelity job supersedes a
-     *  degrade leader); cleared at delivery only by the slot holder. */
+    /** Which flight new duplicates attach to, one slot per content key;
+     *  written only when coalescing is on, so a key has at most one
+     *  flight in it. */
     std::unordered_map<std::string, uint64_t> flightTagByKey;
 
     // --- observability (DESIGN.md §10.11) ------------------------------
@@ -298,15 +292,12 @@ struct AwdServer::Impl
         explicit Stats(obs::Registry &r)
             : admitted(r.counter("admitted")),
               served(r.counter("served")), shed(r.counter("shed")),
-              degraded(r.counter("degraded")),
               replayed(r.counter("replayed")),
               memoHits(r.counter("memo_hits")),
               protocolErrors(r.counter("protocol_errors")),
               sessions(r.counter("sessions")),
               coalesced(r.counter("coalesced")),
               coalesceCancelled(r.counter("coalesce_cancelled")),
-              batches(r.counter("batches")),
-              batched(r.counter("batched")),
               sharedHits(r.counter("shared_memo_hits")),
               sharedNegHits(r.counter("shared_memo_negative_hits")),
               deadline(r.counter("deadline")), slow(r.counter("slow")),
@@ -319,10 +310,9 @@ struct AwdServer::Impl
               sim(r.timer("sim"))
         {}
 
-        obs::Counter &admitted, &served, &shed, &degraded, &replayed,
-            &memoHits, &protocolErrors, &sessions, &coalesced,
-            &coalesceCancelled, &batches, &batched, &sharedHits,
-            &sharedNegHits, &deadline, &slow;
+        obs::Counter &admitted, &served, &shed, &replayed, &memoHits,
+            &protocolErrors, &sessions, &coalesced, &coalesceCancelled,
+            &sharedHits, &sharedNegHits, &deadline, &slow;
         obs::Gauge &queueDepth, &inflightGauge, &sessionsOpen,
             &flightsOpen, &outBufferBytes;
         obs::Timer &e2e, &queueWait, &sim;
@@ -402,12 +392,7 @@ struct AwdServer::Impl
     void finishJob(const Job &job, EstimateResponse resp)
     {
         if (resp.status == "ok") {
-            // A Degrade-admitted job ran at detail 1, not the
-            // fidelity its content key encodes — memoizing it would
-            // serve reduced-fidelity answers to later full-fidelity
-            // requests for the same key.
-            if (!job.degrade)
-                estimator.memoStore(job.contentKey, resp);
+            estimator.memoStore(job.contentKey, resp);
             if (!job.req.id.empty())
                 idemStore(job.req.id, resp);
             st.served.add(1);
@@ -430,57 +415,22 @@ struct AwdServer::Impl
 
     void workerLoop()
     {
-        // A window of 0 (the default) makes popBatch behave exactly
-        // like pop(): size-1 batches, no wait, no queue scan — the
-        // single-job path below is then bit-identical to PR 8.
-        const double windowSec =
-            opts.batchWindowUs > 0 ? opts.batchWindowUs * 1e-6 : 0.0;
-        constexpr size_t kMaxBatchJobs = 16;
-        std::vector<Job> batch;
-        std::vector<EstimateResponse> resps;
-        while (queue.popBatch(batch, kMaxBatchJobs, windowSec)) {
-            const Clock::time_point popped = Clock::now();
-            for (const Job &job : batch) {
-                st.queueWait.record(
-                    std::chrono::duration<double>(popped - job.arrival)
-                        .count());
-                if (job.span)
-                    job.span->tPopNs = toNs(popped);
-            }
-            if (batch.size() == 1) {
-                Job &job = batch.front();
-                const Clock::time_point simStart = Clock::now();
-                EstimateResponse resp = estimator.run(job);
-                const Clock::time_point simEnd = Clock::now();
-                st.sim.record(
-                    std::chrono::duration<double>(simEnd - simStart)
-                        .count());
-                if (job.span) {
-                    job.span->tSimStartNs = toNs(simStart);
-                    job.span->tSimEndNs = toNs(simEnd);
-                }
-                finishJob(job, std::move(resp));
-                continue;
-            }
-            st.batches.add(1);
-            st.batched.add(static_cast<double>(batch.size()));
-            obs::metrics().counter("service.batched").add(
-                static_cast<double>(batch.size()));
-            // The whole-batch duration is recorded once in the timer
-            // and stamped onto every member's span: the members share
-            // one estimator pass, so a per-job split would be fiction.
+        Job job;
+        while (queue.pop(job)) {
             const Clock::time_point simStart = Clock::now();
-            estimator.runBatch(batch, resps);
+            st.queueWait.record(
+                std::chrono::duration<double>(simStart - job.arrival)
+                    .count());
+            EstimateResponse resp = estimator.run(job);
             const Clock::time_point simEnd = Clock::now();
             st.sim.record(
                 std::chrono::duration<double>(simEnd - simStart).count());
-            for (size_t i = 0; i < batch.size(); ++i) {
-                if (batch[i].span) {
-                    batch[i].span->tSimStartNs = toNs(simStart);
-                    batch[i].span->tSimEndNs = toNs(simEnd);
-                }
-                finishJob(batch[i], std::move(resps[i]));
+            if (job.span) {
+                job.span->tPopNs = toNs(simStart);
+                job.span->tSimStartNs = toNs(simStart);
+                job.span->tSimEndNs = toNs(simEnd);
             }
+            finishJob(job, std::move(resp));
         }
     }
 
@@ -561,10 +511,10 @@ struct AwdServer::Impl
 
     /**
      * The stats response: a typed snapshot of the per-server registry.
-     * scope "counters" stops after the flat stats object (the PR 8
-     * shape plus the degraded/deadline/slow counters); "" and "full"
-     * add gauges, latency timers, estimator and flight-recorder state;
-     * "flight" additionally inlines the flight-recorder dump.
+     * scope "counters" stops after the flat stats object (the request
+     * outcome counters); "" and "full" add gauges, latency timers,
+     * estimator and flight-recorder state; "flight" additionally
+     * inlines the flight-recorder dump.
      */
     std::string statsPayload(const std::string &scope) const
     {
@@ -584,11 +534,8 @@ struct AwdServer::Impl
         appendCount(out, "sessions", st.sessions);
         appendCount(out, "coalesced", st.coalesced);
         appendCount(out, "coalesce_cancelled", st.coalesceCancelled);
-        appendCount(out, "batches", st.batches);
-        appendCount(out, "batched", st.batched);
         appendCount(out, "shared_memo_hits", st.sharedHits);
         appendCount(out, "shared_memo_negative_hits", st.sharedNegHits);
-        appendCount(out, "degraded", st.degraded);
         appendCount(out, "deadline", st.deadline);
         appendCount(out, "slow", st.slow);
         out += ",\"draining\":";
@@ -919,58 +866,36 @@ struct AwdServer::Impl
         // Singleflight: an identical request already computing (or
         // queued) gets this one attached as a follower — no queue
         // slot, no second simulation; the one result answers all
-        // subscribers. A Degrade-admitted leader is skipped: its
-        // answer is reduced-fidelity, which followers did not ask for.
-        if (opts.coalesce) {
-            auto kit = flightTagByKey.find(contentKey);
-            auto fit = kit != flightTagByKey.end()
-                           ? flights.find(kit->second)
-                           : flights.end();
-            if (fit != flights.end() && !fit->second.degrade) {
-                Flight &flight = fit->second;
-                std::shared_ptr<RequestSpan> fspan;
-                if (obsOn) {
-                    // The follower's own span: accept -> attach; pop /
-                    // sim stamps stay 0 (the leader's span owns the
-                    // computation), encode is stamped at fan-out.
-                    fspan = std::make_shared<RequestSpan>();
-                    fspan->leaderTag = flight.tag;
-                    fspan->requestId =
-                        req.id.substr(0, kSpanKeyPrefixBytes);
-                    fspan->keyPrefix =
-                        contentKey.substr(0, kSpanKeyPrefixBytes);
-                    fspan->verdict = SpanVerdict::Coalesced;
-                    fspan->tAcceptNs = acceptNs;
-                    fspan->tAdmitNs = nowNs();
-                }
-                flight.subs.push_back(
-                    {sessionId, req.id, deadline, std::move(fspan)});
-                // Extend the running job's effective deadline to the
-                // latest subscriber's — the watchdog must not cancel
-                // the leader while any subscriber could still be
-                // answered in time. Reactor is the only writer.
-                if (toNs(deadline) > flight.deadlineNs->load(
-                                         std::memory_order_relaxed))
-                    flight.deadlineNs->store(toNs(deadline),
-                                             std::memory_order_release);
-                sess.inflight += 1;
-                st.coalesced.add(1);
-                obs::metrics().counter("service.coalesced").add(1);
-                return;
+        // subscribers.
+        if (auto kit = flightTagByKey.find(contentKey);
+            kit != flightTagByKey.end()) {
+            Flight &flight = flights.at(kit->second);
+            std::shared_ptr<RequestSpan> fspan;
+            if (obsOn) {
+                // The follower's own span: accept -> attach; pop / sim
+                // stamps stay 0 (the leader's span owns the computation),
+                // encode is stamped at fan-out.
+                fspan = std::make_shared<RequestSpan>();
+                fspan->leaderTag = flight.tag;
+                fspan->requestId = req.id.substr(0, kSpanKeyPrefixBytes);
+                fspan->keyPrefix = contentKey.substr(0, kSpanKeyPrefixBytes);
+                fspan->verdict = SpanVerdict::Coalesced;
+                fspan->tAcceptNs = acceptNs;
+                fspan->tAdmitNs = nowNs();
             }
-        }
-
-        if (stopping.load(std::memory_order_relaxed)) {
-            const size_t n = sendShed(sess, req.id);
-            recordInline(SpanVerdict::Shed, req.id, contentKey, "shed",
-                         n, acceptNs);
-            return;
-        }
-        Admission admission = queue.classify();
-        if (admission == Admission::Shed) {
-            const size_t n = sendShed(sess, req.id);
-            recordInline(SpanVerdict::Shed, req.id, contentKey, "shed",
-                         n, acceptNs);
+            flight.subs.push_back(
+                {sessionId, req.id, deadline, std::move(fspan)});
+            // Extend the running job's effective deadline to the latest
+            // subscriber's — the watchdog must not cancel the leader
+            // while any subscriber could still be answered in time.
+            // Reactor is the only writer.
+            if (toNs(deadline) >
+                flight.deadlineNs->load(std::memory_order_relaxed))
+                flight.deadlineNs->store(toNs(deadline),
+                                         std::memory_order_release);
+            sess.inflight += 1;
+            st.coalesced.add(1);
+            obs::metrics().counter("service.coalesced").add(1);
             return;
         }
 
@@ -983,7 +908,6 @@ struct AwdServer::Impl
         job.deadlineNs =
             std::make_shared<std::atomic<int64_t>>(toNs(deadline));
         job.cancel = std::make_shared<std::atomic<bool>>(false);
-        job.degrade = admission == Admission::Degrade;
         if (obsOn) {
             job.span = std::make_shared<RequestSpan>();
             job.span->tag = job.tag;
@@ -991,8 +915,7 @@ struct AwdServer::Impl
                 job.req.id.substr(0, kSpanKeyPrefixBytes);
             job.span->keyPrefix =
                 contentKey.substr(0, kSpanKeyPrefixBytes);
-            job.span->verdict = job.degrade ? SpanVerdict::Degrade
-                                            : SpanVerdict::Accept;
+            job.span->verdict = SpanVerdict::Accept;
             job.span->tAcceptNs = acceptNs;
             job.span->tAdmitNs = nowNs();
         }
@@ -1004,22 +927,23 @@ struct AwdServer::Impl
         flight.key = contentKey;
         flight.deadlineNs = job.deadlineNs;
         flight.cancel = job.cancel;
-        flight.degrade = job.degrade;
         flight.subs.push_back({sessionId, job.req.id, deadline, nullptr});
+        // A refused push (queue at its bound, or closed by a drain) is
+        // the shed.
         if (!queue.push(std::move(job))) {
             unregisterInflight(tag);
-            const size_t n = sendShed(sess, req.id);
-            recordInline(SpanVerdict::Shed, req.id, contentKey, "shed",
-                         n, acceptNs);
+            const std::string &id = flight.subs.front().requestId;
+            const size_t n = sendShed(sess, id);
+            recordInline(SpanVerdict::Shed, id, contentKey, "shed", n,
+                         acceptNs);
             return;
         }
         flights.emplace(tag, std::move(flight));
-        flightTagByKey[contentKey] = tag;
+        if (opts.coalesce)
+            flightTagByKey.emplace(contentKey, tag);
         inflightCount.fetch_add(1, std::memory_order_acq_rel);
         sess.inflight += 1;
         st.admitted.add(1);
-        if (admission == Admission::Degrade)
-            st.degraded.add(1);
         obs::metrics().counter("service.admitted").add(1);
     }
 
@@ -1079,11 +1003,7 @@ struct AwdServer::Impl
         }
         Flight flight = std::move(fit->second);
         flights.erase(fit);
-        // Release the attach slot only if this flight still holds it —
-        // a later same-key admission may have taken it over.
-        auto kit = flightTagByKey.find(flight.key);
-        if (kit != flightTagByKey.end() && kit->second == c.tag)
-            flightTagByKey.erase(kit);
+        flightTagByKey.erase(flight.key);
 
         const Clock::time_point now = Clock::now();
         // The computation's span (c.span) stands in for the leader at

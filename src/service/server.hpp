@@ -19,10 +19,10 @@
  *    push a reply past the frame bound). Overload answers `shed` with
  *    `retry_after_ms` (structured backpressure) instead of stalling or
  *    OOMing.
- *  - Admission ladder: Accept -> Degrade (forced --sim-detail 1 above
- *    the soft watermark, flagged `reduced_fidelity`; never memoized,
- *    since the memo key encodes the requested fidelity) -> cached memo
- *    fallback (flagged `cached`) -> Shed.
+ *  - Admission order: idempotent replay -> memo or shared memo (flagged
+ *    `cached`) -> singleflight attach to an identical in-flight job ->
+ *    accept at the requested fidelity, or shed once the run queue is at
+ *    its bound. The `degraded` reply field is `none | cached`.
  *  - Deadlines: every estimate carries one (client's or the server
  *    default); the watchdog propagates expiry into SimOptions::cancel,
  *    so a deadline can interrupt a simulation mid-flight.
@@ -39,12 +39,11 @@
  *    its timeout cancels the stragglers, force-closes sessions that
  *    still hold unflushed output (a peer that never reads cannot hang
  *    the drain), and returns 1.
- *  - Duplicate-work elimination (DESIGN.md §10.8–10.10): singleflight
+ *  - Duplicate-work elimination (DESIGN.md §10): singleflight
  *    coalescing folds concurrent identical requests onto one running
- *    computation; an optional micro-batch window groups compatible
- *    queued requests into one estimator pass; an optional shared memo
- *    directory lets a fleet of daemons converge to one cross-process
- *    result cache with torn-write detection and a negative-cache TTL.
+ *    computation; an optional shared memo directory lets a fleet of
+ *    daemons converge to one cross-process result cache with torn-write
+ *    detection and a negative-cache TTL.
  */
 #pragma once
 
@@ -65,15 +64,12 @@ struct ServerOptions
 {
     int port = 0;                   ///< TCP port on 127.0.0.1; 0 = ephemeral
     int threads = 2;                ///< estimation worker threads
-    int maxQueue = 128;             ///< hard run-queue bound (shed beyond)
+    int maxQueue = 128;             ///< run-queue bound (shed beyond)
     double defaultDeadlineMs = 2000;///< per-request default deadline
     double idleTimeoutMs = 10000;   ///< slow-loris session reap
     double drainTimeoutMs = 10000;  ///< max graceful-drain time on stop
     std::vector<std::string> cards{"volta"}; ///< served card models
     bool warmup = true;             ///< pre-calibrate before serving
-    /** Micro-batch gather window in microseconds; 0 disables batching
-     *  (each worker pops one job at a time, exactly the PR 8 path). */
-    double batchWindowUs = 0;
     /** Cross-process shared memo directory; empty disables the tier. */
     std::string sharedMemoDir;
     /** Byte bound on the in-process memo (0 = entry-count bound only). */
@@ -106,9 +102,9 @@ struct ServerOptions
     double sharedMemoTtlSec = 0;
 
     /** Defaults overridden by AW_SERVICE_PORT / _THREADS / _MAX_QUEUE /
-     *  _DEADLINE_MS / _CARDS / _IDLE_MS / _BATCH_WINDOW_US /
-     *  _SHARED_MEMO_DIR / _MEMO_BYTES / _TRACE / _SLOW_MS / _FLIGHT_N /
-     *  _FLIGHT_DUMP / _SHARED_MEMO_BYTES / _SHARED_MEMO_TTL_SEC
+     *  _DEADLINE_MS / _CARDS / _IDLE_MS / _SHARED_MEMO_DIR /
+     *  _MEMO_BYTES / _TRACE / _SLOW_MS / _FLIGHT_N / _FLIGHT_DUMP /
+     *  _SHARED_MEMO_BYTES / _SHARED_MEMO_TTL_SEC
      *  (invalid values warn + keep the default). */
     static ServerOptions fromEnvironment();
 };

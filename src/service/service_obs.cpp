@@ -11,8 +11,6 @@ spanVerdictName(SpanVerdict v)
     switch (v) {
       case SpanVerdict::Accept:
         return "accept";
-      case SpanVerdict::Degrade:
-        return "degrade";
       case SpanVerdict::Coalesced:
         return "coalesced";
       case SpanVerdict::Shed:

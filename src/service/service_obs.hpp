@@ -32,7 +32,6 @@ namespace aw::service {
 enum class SpanVerdict : uint8_t
 {
     Accept,            ///< admitted at requested fidelity
-    Degrade,           ///< admitted at reduced fidelity (soft limit)
     Coalesced,         ///< attached as a singleflight follower
     Shed,              ///< rejected with retry_after_ms
     MemoHit,           ///< served inline from the L1 memo

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <fstream>
@@ -354,11 +355,11 @@ TEST(ServiceClient, DeadPortExhaustsRetriesWithoutHanging)
     EXPECT_EQ(r.error().cause, FailCause::RetriesExhausted);
 }
 
-TEST(ServiceOverload, HardLimitShedsWithRetryAfter)
+TEST(ServiceOverload, FullQueueShedsWithRetryAfter)
 {
-    // One worker, queue of 2 (soft limit 1): a burst of slow unique
-    // kernels must produce at least one structured shed, and sheds
-    // must carry the retry-after hint in the client-visible message.
+    // One worker, queue of 2: a burst of slow unique kernels must
+    // produce at least one structured shed, and sheds must carry the
+    // retry-after hint in the client-visible message.
     service::ServerOptions sopts;
     sopts.threads = 1;
     sopts.maxQueue = 2;
@@ -397,7 +398,7 @@ TEST(ServiceOverload, HardLimitShedsWithRetryAfter)
     for (std::thread &t : clients)
         t.join();
 
-    EXPECT_GE(shed.load(), 1) << "hard limit never shed";
+    EXPECT_GE(shed.load(), 1) << "full queue never shed";
     EXPECT_GE(ok.load(), 1) << "admission starved everything";
     EXPECT_EQ(other.load(), 0);
     EXPECT_EQ(ok.load() + shed.load(), kBurst);
@@ -406,12 +407,12 @@ TEST(ServiceOverload, HardLimitShedsWithRetryAfter)
     EXPECT_EQ(server.wait(), 0);
 }
 
-TEST(ServiceOverload, DegradeAdmittedResultIsNotMemoized)
+TEST(ServiceOverload, ReplyLabelMatchesTheFidelitySimulated)
 {
-    // One worker, queue of 5 (soft limit 3): a single pipelined burst
-    // lands the probe in the Degrade band whether or not the worker
-    // already popped the head job — the probe classifies at depth 3 or
-    // 4, both >= soft and < hard.
+    // One worker, queue of 5: a single pipelined burst packs the queue
+    // behind a slow head job, so the detail-4 probe at its tail is
+    // admitted into a nearly full queue. It must still run at the
+    // fidelity it asked for, and its label must say so.
     service::ServerOptions sopts;
     sopts.threads = 1;
     sopts.maxQueue = 5;
@@ -422,24 +423,30 @@ TEST(ServiceOverload, DegradeAdmittedResultIsNotMemoized)
     ASSERT_TRUE(server.start(error)) << error;
 
     // The head job is unique per run so a warm on-disk result cache can
-    // never make it finish while the burst is still being classified.
+    // never make it finish while the burst is still being admitted.
     const std::string runTag = std::to_string(
         std::chrono::steady_clock::now().time_since_epoch().count());
-    const KernelDescriptor probe = testKernel("svc_degrade_probe");
+    // A pointer-chase probe: its per-SM address streams decorrelate
+    // across detailed SM groups, so detail 4 and detail 1 differ in the
+    // bits (checked below) and the bit comparison can tell them apart.
+    KernelDescriptor probeKernel = testKernel("svc_fidelity_probe");
+    probeKernel.pointerChase = true;
+    service::EstimateRequest probe = estimateOf(probeKernel);
+    probe.detail = 4;
     auto requestFrame = [](const std::string &id,
-                           const KernelDescriptor &k, int detail) {
+                           const KernelDescriptor &k) {
         service::EstimateRequest req = estimateOf(k);
         req.id = id;
-        req.detail = detail;
         return service::encodeFrame(service::requestToJson(req));
     };
     std::string burst;
     burst += requestFrame(
-        "busy", testKernel("svc_degrade_busy_" + runTag, 64), 0);
-    burst += requestFrame("f1", testKernel("svc_degrade_f1"), 0);
-    burst += requestFrame("f2", testKernel("svc_degrade_f2"), 0);
-    burst += requestFrame("f3", testKernel("svc_degrade_f3"), 0);
-    burst += requestFrame("probe", probe, /*detail=*/4);
+        "busy", testKernel("svc_fidelity_busy_" + runTag, 64));
+    burst += requestFrame("f1", testKernel("svc_fidelity_f1"));
+    burst += requestFrame("f2", testKernel("svc_fidelity_f2"));
+    burst += requestFrame("f3", testKernel("svc_fidelity_f3"));
+    probe.id = "probe";
+    burst += service::encodeFrame(service::requestToJson(probe));
 
     RawConn conn;
     ASSERT_TRUE(conn.connectTo(server.port()));
@@ -447,7 +454,7 @@ TEST(ServiceOverload, DegradeAdmittedResultIsNotMemoized)
     std::vector<std::string> frames;
     ASSERT_TRUE(conn.readResponses(5, frames));
 
-    std::string probeDegraded = "missing";
+    service::EstimateResponse fromBurst;
     for (const std::string &f : frames) {
         obs::JsonValue v;
         ASSERT_TRUE(obs::tryParseJson(f, v)) << f;
@@ -456,25 +463,42 @@ TEST(ServiceOverload, DegradeAdmittedResultIsNotMemoized)
         ASSERT_TRUE(service::parseResponse(v, resp, perr)) << perr;
         EXPECT_EQ(resp.status, "ok") << resp.errorMessage;
         if (resp.id == "probe")
-            probeDegraded = resp.degraded;
+            fromBurst = resp;
     }
-    ASSERT_EQ(probeDegraded, "reduced_fidelity")
-        << "probe was not Degrade-admitted; queue choreography broke";
+    ASSERT_EQ(fromBurst.id, "probe") << "no reply to the probe";
+    EXPECT_EQ(fromBurst.degraded, "none");
 
-    // The reduced-fidelity answer ran at detail 1, not the detail-4
-    // fidelity its content key encodes — it must not be memoized. A
-    // fresh identical request (no id, so no idempotent replay) gets a
-    // fresh full-fidelity run, not a relabeled 'cached' serve.
+    // The label is only true if the bits are: a direct estimator run of
+    // the same request at detail 4 must match the reply exactly.
+    probe.id.clear();
+    service::Estimator direct({"volta"});
+    service::Job job;
+    job.req = probe;
+    const service::EstimateResponse want = direct.run(job);
+    ASSERT_EQ(want.status, "ok") << want.errorMessage;
+    job.req.detail = 1;
+    ASSERT_NE(std::bit_cast<uint64_t>(direct.run(job).powerW),
+              std::bit_cast<uint64_t>(want.powerW))
+        << "probe kernel does not tell detail 4 from detail 1";
+    EXPECT_EQ(std::bit_cast<uint64_t>(fromBurst.powerW),
+              std::bit_cast<uint64_t>(want.powerW));
+    EXPECT_EQ(std::bit_cast<uint64_t>(fromBurst.energyJ),
+              std::bit_cast<uint64_t>(want.energyJ));
+
+    // The full-fidelity answer was memoized under its content key: a
+    // fresh identical request (no id, so no idempotent replay) is served
+    // from the memo, labelled `cached`, with the same bits.
     service::ClientOptions copts = quickClientOptions(server.port());
     copts.ioTimeoutSec = 120;
     service::AwdClient c(copts);
-    service::EstimateRequest again = estimateOf(probe);
-    again.detail = 4;
-    Result<service::EstimateResponse> r = c.estimate(again);
+    Result<service::EstimateResponse> r = c.estimate(probe);
     ASSERT_TRUE(r) << r.error().message;
     EXPECT_FALSE(r->replayed);
-    EXPECT_EQ(r->degraded, "none")
-        << "reduced-fidelity result was served from the memo";
+    EXPECT_EQ(r->degraded, "cached");
+    EXPECT_EQ(std::bit_cast<uint64_t>(r->powerW),
+              std::bit_cast<uint64_t>(want.powerW));
+    EXPECT_EQ(std::bit_cast<uint64_t>(r->energyJ),
+              std::bit_cast<uint64_t>(want.energyJ));
 
     server.requestStop();
     EXPECT_EQ(server.wait(), 0);
@@ -542,19 +566,17 @@ TEST(ServiceDrain, StopWithoutTrafficExitsCleanly)
 
 TEST(ServiceQueue, AdmissionLadderIsDeterministic)
 {
-    service::RequestQueue q(/*softLimit=*/1, /*hardLimit=*/2);
+    service::RequestQueue q(/*bound=*/2);
     auto jobAt = [](uint64_t tag) {
         service::Job j;
         j.tag = tag;
         return j;
     };
 
-    EXPECT_EQ(q.classify(), service::Admission::Accept);
     EXPECT_TRUE(q.push(jobAt(1)));
-    EXPECT_EQ(q.classify(), service::Admission::Degrade);
     EXPECT_TRUE(q.push(jobAt(2)));
-    EXPECT_EQ(q.classify(), service::Admission::Shed);
-    EXPECT_FALSE(q.push(jobAt(3))) << "push past the hard limit";
+    EXPECT_EQ(q.depth(), 2u);
+    EXPECT_FALSE(q.push(jobAt(3))) << "push past the bound";
 
     // close() drains: the two admitted jobs still come out, then pop
     // reports exhaustion, and nothing new is admitted.
@@ -569,8 +591,8 @@ TEST(ServiceQueue, AdmissionLadderIsDeterministic)
 }
 
 // ---------------------------------------------------------------------------
-// Duplicate-work elimination: singleflight coalescing, the micro-batch
-// window, and the cross-process shared memo (DESIGN.md §10.8–10.10).
+// Duplicate-work elimination: singleflight coalescing and the
+// cross-process shared memo (DESIGN.md §10).
 
 namespace {
 
@@ -722,79 +744,6 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
     ASSERT_TRUE(pong) << pong.error().message;
     server.requestStop();
     EXPECT_EQ(server.wait(), 0);
-}
-
-TEST(ServiceBatch, BatchedResultsAreBitIdenticalToUnbatched)
-{
-    std::vector<service::EstimateRequest> reqs;
-    for (int i = 0; i < 3; ++i)
-        reqs.push_back(estimateOf(
-            testKernel(runUnique("svc_batch_k" + std::to_string(i)))));
-    std::string pipelined;
-    for (const service::EstimateRequest &req : reqs)
-        pipelined += frameOf(req);
-
-    // Reference daemon: batch window off — each request is popped and
-    // simulated on its own, exactly the pre-batching path.
-    std::vector<std::string> unbatched;
-    {
-        service::ServerOptions sopts;
-        sopts.threads = 1;
-        sopts.maxQueue = 64;
-        sopts.defaultDeadlineMs = 120e3;
-        sopts.warmup = true;
-        service::AwdServer server(sopts);
-        std::string error;
-        ASSERT_TRUE(server.start(error)) << error;
-        RawConn conn;
-        ASSERT_TRUE(conn.connectTo(server.port()));
-        ASSERT_TRUE(conn.sendAll(pipelined));
-        ASSERT_TRUE(conn.readResponses(reqs.size(), unbatched));
-        EXPECT_EQ(statOf(server, "batches"), 0);
-        server.requestStop();
-        EXPECT_EQ(server.wait(), 0);
-    }
-
-    // Batching daemon: one slow job occupies the single worker while
-    // the three compatible requests queue up behind it, so one popBatch
-    // gathers all three into a single estimator pass.
-    std::vector<std::string> batched;
-    {
-        service::ServerOptions sopts;
-        sopts.threads = 1;
-        sopts.maxQueue = 64;
-        sopts.defaultDeadlineMs = 120e3;
-        sopts.warmup = true;
-        sopts.batchWindowUs = 20e3;
-        service::AwdServer server(sopts);
-        std::string error;
-        ASSERT_TRUE(server.start(error)) << error;
-
-        RawConn busy;
-        ASSERT_TRUE(busy.connectTo(server.port()));
-        ASSERT_TRUE(busy.sendAll(
-            frameOf(estimateOf(testKernel(runUnique("svc_batch_busy"),
-                                          /*iterations=*/1024)))));
-        // Let the worker pop the busy job alone (and its empty gather
-        // window lapse) before the batchable requests arrive.
-        std::this_thread::sleep_for(std::chrono::milliseconds(80));
-
-        RawConn conn;
-        ASSERT_TRUE(conn.connectTo(server.port()));
-        ASSERT_TRUE(conn.sendAll(pipelined));
-        ASSERT_TRUE(conn.readResponses(reqs.size(), batched));
-        EXPECT_EQ(statOf(server, "batches"), 1)
-            << "the queued trio was not gathered into one batch";
-        EXPECT_EQ(statOf(server, "batched"), 3);
-        server.requestStop();
-        EXPECT_EQ(server.wait(), 0);
-    }
-
-    // Split results must be byte-identical to the unbatched replies —
-    // batching is a scheduling optimisation, never a semantic one.
-    ASSERT_EQ(unbatched.size(), batched.size());
-    for (size_t i = 0; i < unbatched.size(); ++i)
-        EXPECT_EQ(unbatched[i], batched[i]) << "request " << i;
 }
 
 TEST(ServiceSharedMemo, SecondDaemonAnswersByteIdenticalWithoutSimulating)
@@ -1198,7 +1147,7 @@ TEST(ServiceStats, CountersExactlyMatchScriptedOutcomes)
 {
     service::ServerOptions sopts;
     sopts.threads = 1;
-    sopts.maxQueue = 2; // soft limit 1: bursts reliably shed
+    sopts.maxQueue = 2; // bursts reliably shed
     sopts.defaultDeadlineMs = 120e3;
     sopts.warmup = true;
     service::AwdServer server(sopts);
@@ -1208,7 +1157,7 @@ TEST(ServiceStats, CountersExactlyMatchScriptedOutcomes)
     // Phase 1: a pipelined burst of unique slow kernels. Which of them
     // shed depends on worker timing, so the ledger is built from the
     // *observed* responses — the counters must agree with it exactly.
-    long okFull = 0, okDegraded = 0, shedObserved = 0;
+    long shedObserved = 0;
     {
         constexpr int kBurst = 6;
         std::string burst;
@@ -1223,13 +1172,10 @@ TEST(ServiceStats, CountersExactlyMatchScriptedOutcomes)
         ASSERT_TRUE(conn.readResponses(kBurst, frames));
         for (const std::string &f : frames) {
             const service::EstimateResponse resp = parsedResponse(f);
-            if (resp.status == "shed") {
+            if (resp.status == "shed")
                 ++shedObserved;
-            } else {
+            else
                 ASSERT_EQ(resp.status, "ok") << resp.errorMessage;
-                resp.degraded == "reduced_fidelity" ? ++okDegraded
-                                                    : ++okFull;
-            }
         }
     }
 
@@ -1293,13 +1239,10 @@ TEST(ServiceStats, CountersExactlyMatchScriptedOutcomes)
     // first, coalesce leader) plus the follower fan-out.
     EXPECT_EQ(statOf(server, "served"), (6 - shedObserved) + 4);
     EXPECT_EQ(statOf(server, "shed"), shedObserved);
-    EXPECT_EQ(statOf(server, "degraded"), okDegraded);
     EXPECT_EQ(statOf(server, "memo_hits"), 1);
     EXPECT_EQ(statOf(server, "replayed"), 1);
     EXPECT_EQ(statOf(server, "protocol_errors"), 1);
     EXPECT_EQ(statOf(server, "coalesce_cancelled"), 0);
-    EXPECT_EQ(statOf(server, "batches"), 0);
-    EXPECT_EQ(statOf(server, "batched"), 0);
     EXPECT_EQ(statOf(server, "deadline"), 0);
     EXPECT_EQ(statOf(server, "shared_memo_hits"), 0);
 
