@@ -5,12 +5,14 @@
 # suite, then a TSan pass that exercises the parallel engine and the
 # result cache with AW_THREADS=4.
 #
-# The address pass finishes with two extra legs: a chaos leg (the
+# The address pass finishes with three extra legs: a chaos leg (the
 # resilience suites re-run in the ASan tree with AW_FAULTS set to the
 # documented example rates and a fixed seed, so the retry/abort/fallback
 # paths execute under fire with leak and UB checking on, and any failure
-# replays exactly) and a powerscope leg (the validation suite re-runs
-# with AW_POWERSCOPE set and every emitted artifact is validated).
+# replays exactly), a powerscope leg (the validation suite re-runs
+# with AW_POWERSCOPE set and every emitted artifact is validated) and a
+# number-writer leg (the JSON number writer's differential suite re-runs
+# 50 times, each on a fresh gtest seed).
 #
 # The default sweep ends with a perf-gate leg: a plain (unsanitized)
 # build of the PerfLab harness runs every bench that has a committed
@@ -183,6 +185,19 @@ powerscope() {
     done
     grep -q "</html>" "${base}.html"
     echo "== powerscope artifacts validated (${base}.{json,trace.json,html})"
+}
+
+# Number-writer leg: re-run the differential suite of the JSON number
+# writer (byte-identical to the snprintf/strtod writer it replaced) in
+# an existing build tree. --gtest_shuffle gives each of the 50 repeats a
+# fresh random seed, which the suite draws its inputs from and prints on
+# failure (replay with --gtest_shuffle --gtest_random_seed=SEED).
+#   $1 = build dir (already built by a sweep)
+numberdiff() {
+    local dir=$1
+    echo "== number writer differential (50 seeds) -> ${dir}"
+    "${dir}/tests/test_metrics" --gtest_filter='JsonNumberDiff.*' \
+        --gtest_repeat=50 --gtest_shuffle --gtest_brief=1
 }
 
 # Perf-regression gate: a plain build (sanitizers would swamp the
@@ -447,6 +462,7 @@ case "${sanitizer}" in
     if [[ ${configure_only} -eq 0 ]]; then
         chaos "${build_dir:-build-asan}"
         powerscope "${build_dir:-build-asan}"
+        numberdiff "${build_dir:-build-asan}"
     fi
     ;;
   thread)
@@ -457,6 +473,7 @@ case "${sanitizer}" in
     if [[ ${configure_only} -eq 0 ]]; then
         chaos "${build_dir:-build-asan}"
         powerscope "${build_dir:-build-asan}"
+        numberdiff "${build_dir:-build-asan}"
     fi
     # The TSan pass targets the suites that drive the parallel engine
     # and the cache; the rest of the tree is serial and already covered

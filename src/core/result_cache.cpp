@@ -25,14 +25,6 @@ namespace aw {
 
 namespace {
 
-/** Round-trippable double spelling, shared with the stored values so a
- *  key is stable across platforms that print doubles differently. */
-std::string
-num(double v)
-{
-    return obs::jsonNumber(v);
-}
-
 std::string
 hex16(uint64_t v)
 {
@@ -42,50 +34,65 @@ hex16(uint64_t v)
     return buf;
 }
 
-std::string
-describeCacheGeometry(const CacheGeometry &c)
+void
+appendCacheGeometry(obs::TextAppender &os, const CacheGeometry &c)
 {
-    std::ostringstream os;
     os << c.sizeKb << '/' << c.lineBytes << '/' << c.ways << '/'
-       << num(c.latencyCycles);
-    return os.str();
+       << c.latencyCycles;
 }
 
 // --- KernelActivity <-> JSON -----------------------------------------------
 
+/** Bytes reserved per activity sample: every number at its longest
+ *  (24 bytes, "-1.2345678901234567e-308", plus a comma) and the member
+ *  names, so serializing an activity never reallocates. */
+constexpr size_t kSampleJsonBytes =
+    (std::tuple_size_v<decltype(ActivitySample::accesses)> +
+     std::tuple_size_v<decltype(ActivitySample::unitInsts)> + 7) *
+        25 +
+    160;
+
 void
-appendSampleJson(std::ostringstream &os, const ActivitySample &s)
+appendSampleJson(obs::TextAppender &os, const ActivitySample &s)
 {
-    os << "{\"cycles\":" << num(s.cycles) << ",\"freqGhz\":"
-       << num(s.freqGhz) << ",\"voltage\":" << num(s.voltage)
-       << ",\"accesses\":[";
+    os << "{\"cycles\":" << s.cycles << ",\"freqGhz\":" << s.freqGhz
+       << ",\"voltage\":" << s.voltage << ",\"accesses\":[";
     for (size_t i = 0; i < s.accesses.size(); ++i)
-        os << (i ? "," : "") << num(s.accesses[i]);
-    os << "],\"avgActiveSms\":" << num(s.avgActiveSms)
-       << ",\"avgActiveLanesPerWarp\":" << num(s.avgActiveLanesPerWarp)
+        os << (i ? "," : "") << s.accesses[i];
+    os << "],\"avgActiveSms\":" << s.avgActiveSms
+       << ",\"avgActiveLanesPerWarp\":" << s.avgActiveLanesPerWarp
        << ",\"unitInsts\":[";
     for (size_t i = 0; i < s.unitInsts.size(); ++i)
-        os << (i ? "," : "") << num(s.unitInsts[i]);
-    os << "],\"intAddInsts\":" << num(s.intAddInsts)
-       << ",\"intMulInsts\":" << num(s.intMulInsts) << "}";
+        os << (i ? "," : "") << s.unitInsts[i];
+    os << "],\"intAddInsts\":" << s.intAddInsts
+       << ",\"intMulInsts\":" << s.intMulInsts << "}";
 }
 
 } // namespace
 
-std::string
-activityToJson(const KernelActivity &a)
+void
+appendActivityJson(std::string &out, const KernelActivity &a)
 {
-    std::ostringstream os;
+    out.reserve(out.size() + 96 + a.kernelName.size() +
+                a.samples.size() * kSampleJsonBytes);
+    obs::TextAppender os(out);
     os << "{\"kernelName\":\"" << obs::jsonEscape(a.kernelName)
-       << "\",\"totalCycles\":" << num(a.totalCycles)
-       << ",\"elapsedSec\":" << num(a.elapsedSec) << ",\"samples\":[";
+       << "\",\"totalCycles\":" << a.totalCycles
+       << ",\"elapsedSec\":" << a.elapsedSec << ",\"samples\":[";
     for (size_t i = 0; i < a.samples.size(); ++i) {
         if (i)
             os << ",";
         appendSampleJson(os, a.samples[i]);
     }
     os << "]}";
-    return os.str();
+}
+
+std::string
+activityToJson(const KernelActivity &a)
+{
+    std::string out;
+    appendActivityJson(out, a);
+    return out;
 }
 
 namespace {
@@ -167,55 +174,59 @@ fnv1a64(const std::string &s)
     return h;
 }
 
-std::string
-describeGpuConfig(const GpuConfig &g)
+namespace {
+
+/** Bytes reserved for a cache key; the GPU config alone is ~450. */
+constexpr size_t kKeyReserveBytes = 1024;
+
+void
+appendGpuConfig(obs::TextAppender &os, const GpuConfig &g)
 {
-    std::ostringstream os;
     os << "gpu{" << g.name << ";sms=" << g.numSms << ";sub="
        << g.subcoresPerSm << ";lanes=" << g.lanesPerSm << ";maxwps="
        << g.maxWarpsPerSubcore << ";ws=" << g.warpSize << ";int="
        << g.int32PerSubcore << ";fp=" << g.fp32PerSubcore << ";dp="
        << g.fp64PerSubcore << ";sfu=" << g.sfuPerSubcore << ";tc="
        << g.tensorPerSubcore << ";ldst=" << g.ldstPerSubcore << ";hasTc="
-       << (g.hasTensorCores ? 1 : 0) << ";l0i="
-       << describeCacheGeometry(g.l0i) << ";l1i="
-       << describeCacheGeometry(g.l1i) << ";l1d="
-       << describeCacheGeometry(g.l1d) << ";cl1="
-       << describeCacheGeometry(g.constL1) << ";l2="
-       << describeCacheGeometry(g.l2) << ";shm=" << g.sharedMemKbPerSm
-       << ";rf=" << g.regFileKbPerSubcore << ";l2bw="
-       << num(g.l2BandwidthGBs) << ";drambw=" << num(g.dramBandwidthGBs)
-       << ";dramlat=" << num(g.dramLatencyCycles) << ";noclat="
-       << num(g.nocLatencyCycles) << ";clk=" << num(g.defaultClockGhz)
-       << ";vf=" << num(g.vf.v0) << '+' << num(g.vf.slope) << '*'
-       << num(g.vf.fMinGhz) << ".." << num(g.vf.fMaxGhz) << ";plim="
-       << num(g.powerLimitW) << ";node=" << g.techNodeNm << "}";
-    return os.str();
+       << (g.hasTensorCores ? 1 : 0) << ";l0i=";
+    appendCacheGeometry(os, g.l0i);
+    os << ";l1i=";
+    appendCacheGeometry(os, g.l1i);
+    os << ";l1d=";
+    appendCacheGeometry(os, g.l1d);
+    os << ";cl1=";
+    appendCacheGeometry(os, g.constL1);
+    os << ";l2=";
+    appendCacheGeometry(os, g.l2);
+    os << ";shm=" << g.sharedMemKbPerSm << ";rf=" << g.regFileKbPerSubcore
+       << ";l2bw=" << g.l2BandwidthGBs << ";drambw=" << g.dramBandwidthGBs
+       << ";dramlat=" << g.dramLatencyCycles << ";noclat="
+       << g.nocLatencyCycles << ";clk=" << g.defaultClockGhz
+       << ";vf=" << g.vf.v0 << '+' << g.vf.slope << '*' << g.vf.fMinGhz
+       << ".." << g.vf.fMaxGhz << ";plim=" << g.powerLimitW
+       << ";node=" << g.techNodeNm << "}";
 }
 
-std::string
-describeKernel(const KernelDescriptor &k)
+void
+appendKernel(obs::TextAppender &os, const KernelDescriptor &k)
 {
-    std::ostringstream os;
     os << "kernel{" << k.name << ";ctas=" << k.ctas << ";wpc="
        << k.warpsPerCta << ";cps=" << k.ctasPerSm << ";smlim="
        << k.smLimit << ";mix=[";
     for (size_t i = 0; i < k.mix.size(); ++i)
         os << (i ? "," : "") << static_cast<int>(k.mix[i].op) << ':'
-           << num(k.mix[i].weight);
+           << k.mix[i].weight;
     os << "];body=" << k.bodyInsts << ";iters=" << k.iterations
        << ";ilp=" << k.ilpDegree << ";lanes=" << k.activeLanes
-       << ";foot=" << num(k.memFootprintKb) << ";chase="
+       << ";foot=" << k.memFootprintKb << ";chase="
        << (k.pointerChase ? 1 : 0) << ";txn="
        << k.transactionsPerMemAccess << ";seed=" << k.seed << "}";
-    return os.str();
 }
 
-std::string
-describeSimOptions(const SimOptions &o)
+void
+appendSimOptions(obs::TextAppender &os, const SimOptions &o)
 {
-    std::ostringstream os;
-    os << "sim{freq=" << num(o.freqGhz) << ";interval="
+    os << "sim{freq=" << o.freqGhz << ";interval="
        << o.sampleIntervalCycles << ";max=" << o.maxCycles << ";sched="
        << static_cast<int>(o.scheduler);
     // Detail groups change simulation *results* (distinct SM groups
@@ -226,16 +237,49 @@ describeSimOptions(const SimOptions &o)
     if (int detail = effectiveSimDetail(o); detail > 1)
         os << ";detail=" << detail;
     os << "}";
-    return os.str();
+}
+
+void
+appendConditions(obs::TextAppender &os, const MeasurementConditions &c)
+{
+    os << "cond{freq=" << c.freqGhz << ";temp=" << c.tempC << "}";
+}
+
+/** One key fragment as a fresh string. */
+template <typename T>
+std::string
+describe(void (*append)(obs::TextAppender &, const T &), const T &v)
+{
+    std::string out;
+    obs::TextAppender os(out);
+    append(os, v);
+    return out;
+}
+
+} // namespace
+
+std::string
+describeGpuConfig(const GpuConfig &g)
+{
+    return describe(appendGpuConfig, g);
+}
+
+std::string
+describeKernel(const KernelDescriptor &k)
+{
+    return describe(appendKernel, k);
+}
+
+std::string
+describeSimOptions(const SimOptions &o)
+{
+    return describe(appendSimOptions, o);
 }
 
 std::string
 describeConditions(const MeasurementConditions &c)
 {
-    std::ostringstream os;
-    os << "cond{freq=" << num(c.freqGhz) << ";temp=" << num(c.tempC)
-       << "}";
-    return os.str();
+    return describe(appendConditions, c);
 }
 
 ResultCache::ResultCache()
@@ -299,8 +343,9 @@ fetchEntryIn(const std::string &dir, const std::string &key,
     }
     std::ostringstream ss;
     ss << in.rdbuf();
+    const std::string text = std::move(ss).str();
     obs::JsonValue doc;
-    if (!obs::tryParseJson(ss.str(), doc) || !doc.isObject()) {
+    if (!obs::tryParseJson(text, doc) || !doc.isObject()) {
         warn("result cache: corrupt entry %s; removing", path.c_str());
         std::error_code ec;
         fs::remove(path, ec);
@@ -359,7 +404,6 @@ fetchEntryIn(const std::string &dir, const std::string &key,
     // write can still parse as JSON (e.g. an array cut at an element
     // boundary on a line that later re-closes); the checksum convicts
     // it regardless.
-    const std::string &text = ss.str();
     const char marker[] = ",\"value\":";
     size_t pos = text.rfind(marker);
     size_t end = text.find_last_of('}');
@@ -479,18 +523,16 @@ storeEntryIn(const std::string &dir, const std::string &key,
     // payload first, and the vcrc checksum (FNV-1a of the raw value
     // text) convicts any remains that still happen to parse.
     std::string payload;
-    {
-        std::ostringstream os;
-        os << "{\"schema\":" << kResultCacheSchemaVersion
-           << ",\"kind\":\"" << kind << "\",\"key\":\""
-           << obs::jsonEscape(key) << "\",\"vcrc\":\""
-           << hex16(fnv1a64(valueJson)) << "\",\"value\":" << valueJson
-           << "}\n";
-        payload = os.str();
-    }
+    payload.reserve(valueJson.size() + key.size() + 96);
+    obs::TextAppender os(payload);
+    os << "{\"schema\":" << kResultCacheSchemaVersion << ",\"kind\":\""
+       << kind << "\",\"key\":\"" << obs::jsonEscape(key)
+       << "\",\"vcrc\":\"" << hex16(fnv1a64(valueJson))
+       << "\",\"value\":" << valueJson << "}\n";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << payload;
+        out.write(payload.data(),
+                  static_cast<std::streamsize>(payload.size()));
         if (!out.good()) {
             warn("result cache: cannot write %s", tmp.c_str());
             fs::remove(tmp, ec);
@@ -639,7 +681,7 @@ ResultCache::storePower(const std::string &key, double value)
 {
     if (!enabled_)
         return;
-    storeEntryIn(directory(), key, "power", num(value));
+    storeEntryIn(directory(), key, "power", obs::jsonNumber(value));
 }
 
 bool
@@ -696,19 +738,25 @@ powerMeasurementKey(const SiliconOracle &oracle,
                     const KernelDescriptor &desc, double lockedFreqGhz,
                     int repetitions)
 {
-    std::ostringstream os;
-    os << "power;card=" << hex16(oracle.cacheSalt()) << ";"
-       << describeGpuConfig(oracle.config()) << ";" << describeKernel(desc)
-       << ";lock=" << num(lockedFreqGhz) << ";reps=" << repetitions
+    std::string key;
+    key.reserve(kKeyReserveBytes);
+    obs::TextAppender os(key);
+    os << "power;card=" << hex16(oracle.cacheSalt()) << ";";
+    appendGpuConfig(os, oracle.config());
+    os << ";";
+    appendKernel(os, desc);
+    os << ";lock=" << lockedFreqGhz << ";reps=" << repetitions
        << faultKeySuffix();
-    return os.str();
+    return key;
 }
 
 std::string
 activityKey(const ActivityProvider &provider, const KernelDescriptor &desc,
             const MeasurementConditions &cond)
 {
-    std::ostringstream os;
+    std::string key;
+    key.reserve(kKeyReserveBytes);
+    obs::TextAppender os(key);
     os << "activity;variant=" << variantName(provider.variant());
     if (provider.variant() == Variant::Hybrid) {
         os << ";hybrid=[";
@@ -723,24 +771,34 @@ activityKey(const ActivityProvider &provider, const KernelDescriptor &desc,
          provider.variant() == Variant::Hybrid) &&
         provider.nsight())
         os << ";card=" << hex16(provider.nsight()->oracle().cacheSalt());
-    os << ";" << describeGpuConfig(provider.sim().gpu()) << ";"
-       << describeKernel(desc) << ";" << describeConditions(cond);
+    os << ";";
+    appendGpuConfig(os, provider.sim().gpu());
+    os << ";";
+    appendKernel(os, desc);
+    os << ";";
+    appendConditions(os, cond);
     // Only the counter-backed variants see injected faults; the pure
     // software variants stay on the clean keys.
     if (provider.variant() == Variant::Hw ||
         provider.variant() == Variant::Hybrid)
         os << faultKeySuffix();
-    return os.str();
+    return key;
 }
 
 std::string
 sassRunKey(const GpuSimulator &sim, const KernelDescriptor &desc,
            const SimOptions &opts)
 {
-    std::ostringstream os;
-    os << "sass;" << describeGpuConfig(sim.gpu()) << ";"
-       << describeKernel(desc) << ";" << describeSimOptions(opts);
-    return os.str();
+    std::string key;
+    key.reserve(kKeyReserveBytes);
+    obs::TextAppender os(key);
+    os << "sass;";
+    appendGpuConfig(os, sim.gpu());
+    os << ";";
+    appendKernel(os, desc);
+    os << ";";
+    appendSimOptions(os, opts);
+    return key;
 }
 
 namespace {

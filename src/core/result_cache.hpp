@@ -36,9 +36,10 @@
  * also suffix every key with the canonical fault spec, so chaos
  * campaigns never pollute the clean cache (and vice versa).
  *
- * Doubles are serialized with obs::jsonNumber (shortest form that
- * round-trips exactly), so a warm-cache run is bit-identical to the
- * cold run that populated it.
+ * Doubles are serialized with obs::appendJsonNumber (the first of
+ * %.6g / %.12g / %.17g that reads back exactly), so a warm-cache run is
+ * bit-identical to the cold run that populated it. Keys and entries are
+ * built by appending into one reserved string.
  *
  * The high-level helpers (measurePowerCached, collectActivityCached,
  * runSassCached) are also where the pipeline's parallel determinism
@@ -74,7 +75,9 @@ uint64_t fnv1a64(const std::string &s);
  * because the awd service protocol reuses it verbatim as the
  * activity-blob encoding (a client posts a trace, the daemon evaluates
  * the power model on it). Doubles are jsonNumber round-trippable.
+ * appendActivityJson appends the same bytes to `out`.
  */
+void appendActivityJson(std::string &out, const KernelActivity &a);
 std::string activityToJson(const KernelActivity &a);
 bool activityFromJson(const obs::JsonValue &v, KernelActivity &out);
 

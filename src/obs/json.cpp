@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -314,21 +315,48 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-std::string
-jsonNumber(double v)
+void
+appendJsonNumber(std::string &out, double v)
 {
     if (!std::isfinite(v)) {
         warn("non-finite value in JSON output clamped to 0");
-        return "0";
+        out += '0';
+        return;
     }
-    // %.17g round-trips any double but is noisy; try shorter forms first.
-    char buf[40];
+    char buf[32];
+    char *end = buf;
+    // An integer below 10^6 (zero and -0 included) is exact at %.6g,
+    // which prints it as plain digits. Activity entries are mostly such
+    // counts, so they take this shortcut past the formatting below.
+    if (std::abs(v) < 1e6 && v == std::trunc(v)) {
+        if (std::signbit(v))
+            out += '-';
+        end = std::to_chars(buf, buf + sizeof buf,
+                            static_cast<int>(std::abs(v)))
+                  .ptr;
+        out.append(buf, end);
+        return;
+    }
+    // The first of %.6g / %.12g / %.17g that reads back exactly (%.17g
+    // always does). to_chars(general, p) writes the same bytes as
+    // printf's %.*g, without its locale and format-string work.
     for (int prec : {6, 12, 17}) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
+        end = std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::general, prec)
+                  .ptr;
+        double back = 0;
+        if (std::from_chars(buf, end, back).ec == std::errc() && back == v)
             break;
     }
-    return buf;
+    out.append(buf, end);
+}
+
+std::string
+jsonNumber(double v)
+{
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
 }
 
 } // namespace aw::obs

@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <concepts>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -64,8 +65,56 @@ bool tryParseJson(std::string_view text, JsonValue &out);
 /** Escape a string for embedding in a JSON document (no quotes). */
 std::string jsonEscape(const std::string &s);
 
-/** Format a double the way the sinks do: shortest round-trippable,
- *  never NaN/Inf (clamped to 0 with a warning — JSON has no NaN). */
+/**
+ * Append a double the way the sinks, the result cache and the awd wire
+ * format spell it: the first of %.6g / %.12g / %.17g (written with
+ * std::to_chars, or as plain digits for an integer below 10^6) that
+ * reads back to exactly `v`. That is not always the shortest exact
+ * form, but it is the form every stored cache key and entry uses, so
+ * it must not change. Never NaN/Inf: those are clamped to 0 with a
+ * warning (JSON has no NaN).
+ */
+void appendJsonNumber(std::string &out, double v);
+
+/** appendJsonNumber into a fresh string. */
 std::string jsonNumber(double v);
+
+/**
+ * Builds a document, key or entry in one caller-owned string,
+ * ostream-style: a double is written with appendJsonNumber, an integer
+ * in decimal, text as is (escaping is the caller's job). Serializers
+ * reserve the string once and append through this, instead of
+ * concatenating temporaries or going through an ostringstream.
+ */
+class TextAppender
+{
+  public:
+    explicit TextAppender(std::string &out) : out_(out) {}
+
+    TextAppender &operator<<(std::string_view s)
+    {
+        out_ += s;
+        return *this;
+    }
+    TextAppender &operator<<(char c)
+    {
+        out_ += c;
+        return *this;
+    }
+    TextAppender &operator<<(double v)
+    {
+        appendJsonNumber(out_, v);
+        return *this;
+    }
+    template <std::integral Int>
+    TextAppender &operator<<(Int v)
+    {
+        out_ += std::to_string(v);
+        return *this;
+    }
+
+  private:
+    std::string &out_;
+};
 
 } // namespace aw::obs

@@ -11,6 +11,10 @@ namespace aw::service {
 
 namespace {
 
+/** Bytes reserved for a request payload or content key: a kernel
+ *  descriptor with a full op mix fits (an activity blob grows it). */
+constexpr size_t kRequestReserveBytes = 1024;
+
 /** Wire tokens of the op classes a request mix may use (the same
  *  grammar as the CLI's --mix flag). */
 const std::pair<const char *, OpClass> kOpTokens[] = {
@@ -113,35 +117,27 @@ readBool(const obs::JsonValue &v, const char *key, bool &out,
     return true;
 }
 
-std::string
-kernelToJson(const KernelDescriptor &k)
+void
+appendKernelJson(obs::TextAppender &os, const KernelDescriptor &k)
 {
-    std::string out = "{";
-    out += "\"name\":\"" + obs::jsonEscape(k.name) + "\"";
-    out += ",\"ctas\":" + std::to_string(k.ctas);
-    out += ",\"warps_per_cta\":" + std::to_string(k.warpsPerCta);
-    out += ",\"ctas_per_sm\":" + std::to_string(k.ctasPerSm);
-    out += ",\"sm_limit\":" + std::to_string(k.smLimit);
-    out += ",\"body_insts\":" + std::to_string(k.bodyInsts);
-    out += ",\"iterations\":" + std::to_string(k.iterations);
-    out += ",\"ilp\":" + std::to_string(k.ilpDegree);
-    out += ",\"active_lanes\":" + std::to_string(k.activeLanes);
-    out += ",\"mem_footprint_kb\":" + obs::jsonNumber(k.memFootprintKb);
-    out += std::string(",\"pointer_chase\":") +
-           (k.pointerChase ? "true" : "false");
-    out += ",\"txn_per_access\":" +
-           std::to_string(k.transactionsPerMemAccess);
-    out += ",\"seed\":" + std::to_string(k.seed);
-    out += ",\"mix\":[";
+    os << "{\"name\":\"" << obs::jsonEscape(k.name) << "\""
+       << ",\"ctas\":" << k.ctas << ",\"warps_per_cta\":" << k.warpsPerCta
+       << ",\"ctas_per_sm\":" << k.ctasPerSm << ",\"sm_limit\":" << k.smLimit
+       << ",\"body_insts\":" << k.bodyInsts
+       << ",\"iterations\":" << k.iterations << ",\"ilp\":" << k.ilpDegree
+       << ",\"active_lanes\":" << k.activeLanes
+       << ",\"mem_footprint_kb\":" << k.memFootprintKb
+       << ",\"pointer_chase\":" << (k.pointerChase ? "true" : "false")
+       << ",\"txn_per_access\":" << k.transactionsPerMemAccess
+       << ",\"seed\":" << k.seed << ",\"mix\":[";
     for (size_t i = 0; i < k.mix.size(); ++i) {
         const char *tok = opToken(k.mix[i].op);
         if (i)
-            out += ",";
-        out += "{\"op\":\"" + std::string(tok ? tok : "?") +
-               "\",\"w\":" + obs::jsonNumber(k.mix[i].weight) + "}";
+            os << ",";
+        os << "{\"op\":\"" << (tok ? tok : "?") << "\",\"w\":"
+           << k.mix[i].weight << "}";
     }
-    out += "]}";
-    return out;
+    os << "]}";
 }
 
 bool
@@ -324,25 +320,31 @@ FrameDecoder::poll(std::string &frame, std::string &error)
 std::string
 requestToJson(const EstimateRequest &req)
 {
-    std::string out = "{";
-    out += "\"type\":\"" + obs::jsonEscape(req.type) + "\"";
+    std::string out;
+    out.reserve(kRequestReserveBytes);
+    obs::TextAppender os(out);
+    os << "{\"type\":\"" << obs::jsonEscape(req.type) << "\"";
     if (!req.id.empty())
-        out += ",\"id\":\"" + obs::jsonEscape(req.id) + "\"";
-    out += ",\"card\":\"" + obs::jsonEscape(req.card) + "\"";
-    out += ",\"variant\":\"" + obs::jsonEscape(req.variant) + "\"";
+        os << ",\"id\":\"" << obs::jsonEscape(req.id) << "\"";
+    os << ",\"card\":\"" << obs::jsonEscape(req.card) << "\"";
+    os << ",\"variant\":\"" << obs::jsonEscape(req.variant) << "\"";
     if (req.freqGhz > 0)
-        out += ",\"freq_ghz\":" + obs::jsonNumber(req.freqGhz);
+        os << ",\"freq_ghz\":" << req.freqGhz;
     if (req.detail > 0)
-        out += ",\"detail\":" + std::to_string(req.detail);
+        os << ",\"detail\":" << req.detail;
     if (req.deadlineMs > 0)
-        out += ",\"deadline_ms\":" + obs::jsonNumber(req.deadlineMs);
+        os << ",\"deadline_ms\":" << req.deadlineMs;
     if (!req.statsScope.empty())
-        out += ",\"scope\":\"" + obs::jsonEscape(req.statsScope) + "\"";
-    if (req.hasKernel)
-        out += ",\"kernel\":" + kernelToJson(req.kernel);
-    if (req.hasActivity)
-        out += ",\"activity\":" + activityToJson(req.activity);
-    out += "}";
+        os << ",\"scope\":\"" << obs::jsonEscape(req.statsScope) << "\"";
+    if (req.hasKernel) {
+        os << ",\"kernel\":";
+        appendKernelJson(os, req.kernel);
+    }
+    if (req.hasActivity) {
+        os << ",\"activity\":";
+        appendActivityJson(out, req.activity);
+    }
+    os << "}";
     return out;
 }
 
@@ -437,32 +439,32 @@ parseRequest(const obs::JsonValue &v, EstimateRequest &out,
 void
 appendResponseJson(const EstimateResponse &resp, std::string &out)
 {
-    out += "{";
-    out += "\"status\":\"" + obs::jsonEscape(resp.status) + "\"";
+    obs::TextAppender os(out);
+    os << "{\"status\":\"" << obs::jsonEscape(resp.status) << "\"";
     if (!resp.id.empty())
-        out += ",\"id\":\"" + obs::jsonEscape(resp.id) + "\"";
+        os << ",\"id\":\"" << obs::jsonEscape(resp.id) << "\"";
     if (resp.degraded != "none")
-        out += ",\"degraded\":\"" + obs::jsonEscape(resp.degraded) + "\"";
+        os << ",\"degraded\":\"" << obs::jsonEscape(resp.degraded) << "\"";
     if (resp.replayed)
-        out += ",\"replayed\":true";
+        os << ",\"replayed\":true";
     if (resp.status == "shed")
-        out += ",\"retry_after_ms\":" + obs::jsonNumber(resp.retryAfterMs);
+        os << ",\"retry_after_ms\":" << resp.retryAfterMs;
     if (resp.status == "ok") {
-        out += ",\"power_w\":" + obs::jsonNumber(resp.powerW);
-        out += ",\"energy_j\":" + obs::jsonNumber(resp.energyJ);
-        out += ",\"elapsed_sec\":" + obs::jsonNumber(resp.elapsedSec);
-        out += ",\"breakdown\":{\"const_w\":" + obs::jsonNumber(resp.constW);
-        out += ",\"static_w\":" + obs::jsonNumber(resp.staticW);
-        out += ",\"idle_sm_w\":" + obs::jsonNumber(resp.idleSmW);
-        out += ",\"dynamic_w\":" + obs::jsonNumber(resp.dynamicW) + "}";
+        os << ",\"power_w\":" << resp.powerW;
+        os << ",\"energy_j\":" << resp.energyJ;
+        os << ",\"elapsed_sec\":" << resp.elapsedSec;
+        os << ",\"breakdown\":{\"const_w\":" << resp.constW;
+        os << ",\"static_w\":" << resp.staticW;
+        os << ",\"idle_sm_w\":" << resp.idleSmW;
+        os << ",\"dynamic_w\":" << resp.dynamicW << "}";
     }
     if (resp.status == "error") {
-        out += ",\"error_cause\":\"" + obs::jsonEscape(resp.errorCause) +
-               "\"";
-        out += ",\"error_message\":\"" +
-               obs::jsonEscape(resp.errorMessage) + "\"";
+        os << ",\"error_cause\":\"" << obs::jsonEscape(resp.errorCause)
+           << "\"";
+        os << ",\"error_message\":\"" << obs::jsonEscape(resp.errorMessage)
+           << "\"";
     }
-    out += "}";
+    os << "}";
 }
 
 std::string
@@ -516,15 +518,17 @@ requestContentKey(const EstimateRequest &req)
 {
     // The key string mirrors the result cache's describe* style: every
     // answer-determining field, nothing else.
-    std::string key = "awd/v1|card=" + req.card +
-                      "|variant=" + req.variant +
-                      "|freq=" + obs::jsonNumber(req.freqGhz) +
-                      "|detail=" + std::to_string(req.detail);
-    if (req.hasKernel)
-        key += "|kernel=" + kernelToJson(req.kernel);
+    std::string key;
+    key.reserve(kRequestReserveBytes);
+    obs::TextAppender os(key);
+    os << "awd/v1|card=" << req.card << "|variant=" << req.variant
+       << "|freq=" << req.freqGhz << "|detail=" << req.detail;
+    if (req.hasKernel) {
+        os << "|kernel=";
+        appendKernelJson(os, req.kernel);
+    }
     if (req.hasActivity)
-        key += "|activity#" +
-               std::to_string(fnv1a64(activityToJson(req.activity)));
+        os << "|activity#" << fnv1a64(activityToJson(req.activity));
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(fnv1a64(key)));

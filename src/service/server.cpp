@@ -13,6 +13,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -159,6 +160,22 @@ toNs(Clock::time_point tp)
 }
 
 } // namespace
+
+bool
+prepareSessionSocket(int fd)
+{
+    if (!setNonBlocking(fd))
+        return false;
+    // Pipelined replies finish at different times; with Nagle on, each
+    // small reply frame waited for the ACK of the one before it. The
+    // reactor sends a session's whole `out` buffer in one send() per
+    // iteration, so switching Nagle off adds no extra segments.
+    int one = 1;
+    if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) != 0)
+        AW_DEBUGF("service", "TCP_NODELAY on session fd %d failed: %s",
+                  fd, std::strerror(errno));
+    return true;
+}
 
 ServerOptions
 ServerOptions::fromEnvironment()
@@ -1163,7 +1180,7 @@ struct AwdServer::Impl
                         int fd = ::accept(listenFd, nullptr, nullptr);
                         if (fd < 0)
                             break;
-                        if (!setNonBlocking(fd)) {
+                        if (!prepareSessionSocket(fd)) {
                             ::close(fd);
                             continue;
                         }

@@ -109,6 +109,15 @@ struct ServerOptions
     static ServerOptions fromEnvironment();
 };
 
+/**
+ * Ready an accepted session socket for the reactor: non-blocking, and
+ * TCP_NODELAY so a reply frame is not held behind the previous reply's
+ * ACK. False only when the socket cannot be made non-blocking (the
+ * caller closes it); a failed TCP_NODELAY is logged at debug level and
+ * the session is kept. Exposed for tests.
+ */
+bool prepareSessionSocket(int fd);
+
 class AwdServer
 {
   public:

@@ -2,13 +2,20 @@
  * @file
  * Unit tests of the observability metrics registry: instrument
  * semantics (counter, gauge, histogram, timer), name validation,
- * concurrent updates, export formats, and reset behavior.
+ * concurrent updates, export formats, and reset behavior; and the
+ * JSON number writer, byte for byte against the printf-based writer it
+ * replaced.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,6 +335,171 @@ TEST(JsonTest, NumberFormattingRoundTrips)
     }
     // Non-finite values must still yield valid JSON.
     EXPECT_EQ(parseJson(jsonNumber(std::nan(""))).asNumber(), 0.0);
+}
+
+// --- JSON number writer vs the printf oracle ----------------------------
+
+/** The number writer as it stood before std::to_chars: snprintf each of
+ *  %.6g / %.12g / %.17g and keep the first that strtod reads back.
+ *  Every stored cache key and entry was spelled by it, so it is the
+ *  oracle the byte-identity tests below compare against. */
+std::string
+printfJsonNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    char buf[40];
+    for (int prec : {6, 12, 17}) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+/** Both entry points against the oracle; false (with `why` set) on the
+ *  first difference. */
+bool
+sameBytesAsOracle(double v, std::string &why)
+{
+    const std::string want = printfJsonNumber(v);
+    std::string appended = "[";
+    appendJsonNumber(appended, v);
+    const std::string wrapped = jsonNumber(v);
+    if (wrapped == want && appended == "[" + want)
+        return true;
+    char bits[24];
+    std::snprintf(bits, sizeof bits, "%016llx",
+                  static_cast<unsigned long long>(
+                      std::bit_cast<uint64_t>(v)));
+    why = std::string("bits 0x") + bits + ": oracle '" + want +
+          "', jsonNumber '" + wrapped + "', appendJsonNumber '" +
+          appended.substr(1) + "'";
+    return false;
+}
+
+/** Seeded from gtest's per-iteration seed, so each --gtest_repeat under
+ *  --gtest_shuffle draws fresh inputs; the trace prints how to replay. */
+class JsonNumberDiff : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        seed_ = static_cast<uint32_t>(
+            ::testing::UnitTest::GetInstance()->random_seed());
+        rng_.reseed(splitmix64(0xD1FF0000ULL + seed_));
+    }
+
+    /** Check `n` draws of `gen`; stop after a handful of mismatches. */
+    template <typename Gen>
+    void checkMany(int n, Gen gen)
+    {
+        SCOPED_TRACE(::testing::Message()
+                     << "gtest random seed " << seed_
+                     << " (replay: --gtest_shuffle --gtest_random_seed="
+                     << seed_ << ")");
+        int failures = 0;
+        std::string why;
+        for (int i = 0; i < n && failures < 5; ++i) {
+            if (!sameBytesAsOracle(gen(), why)) {
+                ADD_FAILURE() << why;
+                ++failures;
+            }
+        }
+    }
+
+    uint32_t seed_ = 0;
+    Rng rng_;
+};
+
+TEST_F(JsonNumberDiff, RandomBitPatternsMatchTheOracle)
+{
+    // Every finite double is equally likely per bit pattern, so this
+    // covers the whole exponent range; most need all 17 digits.
+    checkMany(100000, [&] {
+        double v;
+        do {
+            v = std::bit_cast<double>(rng_.next());
+        } while (!std::isfinite(v));
+        return v;
+    });
+}
+
+TEST_F(JsonNumberDiff, SubnormalsMatchTheOracle)
+{
+    checkMany(20000, [&] {
+        return std::bit_cast<double>(rng_.next() & 0x800FFFFFFFFFFFFFULL);
+    });
+}
+
+TEST_F(JsonNumberDiff, ShortDecimalsMatchTheOracle)
+{
+    // Values typed as 1..17 significant digits: these are the ones that
+    // stop at %.6g or %.12g, which random bit patterns almost never do.
+    checkMany(40000, [&] {
+        const int digits = 1 + static_cast<int>(rng_.next() % 17);
+        unsigned long long mantissa = 1 + rng_.next() % 9;
+        for (int d = 1; d < digits; ++d)
+            mantissa = mantissa * 10 + rng_.next() % 10;
+        const int exp10 = static_cast<int>(rng_.next() % 61) - 30;
+        char text[48];
+        std::snprintf(text, sizeof text, "%s%llue%d",
+                      rng_.next() & 1 ? "-" : "", mantissa, exp10);
+        return std::strtod(text, nullptr);
+    });
+}
+
+TEST_F(JsonNumberDiff, IntegersMatchTheOracle)
+{
+    // Whole numbers around the 10^6 edge of the integer shortcut, and
+    // at every magnitude up to 2^53.
+    checkMany(40000, [&] {
+        const double sign = rng_.next() & 1 ? -1.0 : 1.0;
+        if (rng_.next() & 1)
+            return sign * static_cast<double>(rng_.next() % 2000001);
+        return sign * static_cast<double>(rng_.next() >>
+                                          (11 + rng_.next() % 53));
+    });
+}
+
+TEST(JsonNumberPinned, EdgeCasesMatchTheOracleAndTheirSpelling)
+{
+    const struct
+    {
+        double v;
+        const char *text;
+    } cases[] = {
+        {0.0, "0"},
+        {-0.0, "-0"},
+        {std::numeric_limits<double>::denorm_min(), "4.94066e-324"},
+        {DBL_MIN, "2.2250738585072014e-308"},
+        {DBL_MAX, "1.7976931348623157e+308"},
+        {-DBL_MAX, "-1.7976931348623157e+308"},
+        {9007199254740991.0, "9007199254740991"},  // 2^53 - 1
+        {9007199254740993.0, "9007199254740992"},  // 2^53 + 1 rounds
+        {0.1, "0.1"},
+        {1.234567, "1.234567"},                    // 7 digits: %.12g
+        {1.234567890123, "1.2345678901229999"},    // 13 digits: %.17g
+        {17.0 / 3.0, "5.666666666666667"},         // 16 digits
+        {0.1 + 0.2, "0.30000000000000004"},        // 17 digits
+        {123456.0, "123456"},
+        {-999999.0, "-999999"},
+        {1e6, "1e+06"},
+        {1234567.0, "1234567"},
+        {1e-5, "1e-05"},
+        {1e21, "1e+21"},
+    };
+    std::string why;
+    for (const auto &c : cases) {
+        EXPECT_EQ(jsonNumber(c.v), c.text);
+        EXPECT_TRUE(sameBytesAsOracle(c.v, why)) << why;
+    }
+    // JSON has no NaN or infinity: both writers clamp them to 0.
+    for (double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+        EXPECT_EQ(jsonNumber(v), "0");
+        EXPECT_TRUE(sameBytesAsOracle(v, why)) << why;
+    }
 }
 
 } // namespace

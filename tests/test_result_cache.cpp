@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "common/parallel.hpp"
 #include "core/result_cache.hpp"
+#include "hw/fault_injector.hpp"
+#include "hw/nsight.hpp"
 #include "hw/silicon_model.hpp"
 #include "trace/workload.hpp"
 
@@ -352,4 +356,129 @@ TEST_F(ResultCacheTest, ConcurrentSameKeyWritersNeverCorruptAnEntry)
         EXPECT_EQ(name.find(".lock"), std::string::npos) << name;
         EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
     }
+}
+
+// --- Golden bytes -----------------------------------------------------------
+// A cache directory written by an earlier build must keep hitting, so
+// the key strings (whose FNV-1a names the entry file) and the entry
+// bytes are pinned. The expected values were recorded from the
+// snprintf/strtod number writer that preceded appendJsonNumber.
+
+namespace {
+
+/** A fixed kernel whose key fragment holds doubles needing 1, 6 and 17
+ *  significant digits and a seed past 2^53. */
+KernelDescriptor
+goldenKernel()
+{
+    auto k = makeKernel("golden_k",
+                        {{OpClass::FpFma, 0.5},
+                         {OpClass::LdGlobal, 1.0 / 3.0},
+                         {OpClass::IntAdd, 0.1}},
+                        160, 8, 32);
+    k.bodyInsts = 64;
+    k.iterations = 16;
+    k.memFootprintKb = 512.25;
+    k.pointerChase = true;
+    k.seed = 0x9E3779B97F4A7C15ULL;
+    return k;
+}
+
+SimOptions
+goldenSimOptions()
+{
+    SimOptions opts;
+    opts.freqGhz = 1.2345678;
+    opts.detailSms = 4;
+    return opts;
+}
+
+std::string
+fnvHex(const std::string &s)
+{
+    char buf[20];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(s)));
+    return buf;
+}
+
+/** Run the body with fault injection off, so no key carries a
+ *  `;faults{...}` suffix from an ambient AW_FAULTS. */
+class NoFaults
+{
+  public:
+    NoFaults() : saved_(FaultInjector::globalConfig())
+    {
+        FaultInjector::setGlobalConfig(FaultConfig{});
+    }
+    ~NoFaults() { FaultInjector::setGlobalConfig(saved_); }
+
+  private:
+    FaultConfig saved_;
+};
+
+} // namespace
+
+TEST(ResultCacheGolden, KeyBytesMatchTheRecordedFormat)
+{
+    NoFaults noFaults;
+    SiliconOracle card(voltaGV100(), voltaSiliconTruth());
+    GpuSimulator sim(voltaGV100());
+    NsightEmu nsight(card);
+    ActivityProvider hybrid(Variant::Hybrid, sim, &nsight);
+    const KernelDescriptor k = goldenKernel();
+    MeasurementConditions cond;
+    cond.freqGhz = 1.132;
+    cond.tempC = 71.3;
+
+    EXPECT_EQ(describeKernel(k),
+              "kernel{golden_k;ctas=160;wpc=8;cps=2;smlim=0;"
+              "mix=[6:0.5,16:0.33333333333333331,0:0.1];body=64;iters=16;"
+              "ilp=4;lanes=32;foot=512.25;chase=1;txn=1;"
+              "seed=11400714819323198485}");
+    EXPECT_EQ(describeSimOptions(goldenSimOptions()),
+              "sim{freq=1.2345678;interval=500;max=20000000;sched=0;"
+              "detail=4}");
+    EXPECT_EQ(describeConditions(cond), "cond{freq=1.132;temp=71.3}");
+
+    const std::string sass = sassRunKey(sim, k, goldenSimOptions());
+    const std::string activity = activityKey(hybrid, k, cond);
+    const std::string power = powerMeasurementKey(card, k, 1.2345678, 5);
+    EXPECT_EQ(fnvHex(sass), "9525ce9da1cdab6e") << sass;
+    EXPECT_EQ(fnvHex(activity), "4c2f8873cce24e83") << activity;
+    EXPECT_EQ(fnvHex(power), "2714431782aad56a") << power;
+    EXPECT_EQ(sass.size(), 532u) << sass;
+}
+
+TEST(ResultCacheGolden, ActivityPayloadMatchesTheRecordedFormat)
+{
+    const std::string json = activityToJson(sampleActivity());
+    EXPECT_EQ(json.substr(0, 120),
+              "{\"kernelName\":\"roundtrip\",\"totalCycles\":123456.75,"
+              "\"elapsedSec\":8.7654321e-05,\"samples\":[{\"cycles\":500,"
+              "\"freqGhz\":1.417,\"v");
+    EXPECT_EQ(json.size(), 1316u);
+    EXPECT_EQ(fnvHex(json), "c0692b530ff41f10") << json;
+}
+
+TEST_F(ResultCacheTest, EntryFileMatchesTheRecordedFormat)
+{
+    // Same key, same value => the same entry file, byte for byte, as an
+    // earlier build wrote it; so that build's cache hits here.
+    NoFaults noFaults;
+    GpuSimulator sim(voltaGV100());
+    const std::string key = sassRunKey(sim, goldenKernel(),
+                                       goldenSimOptions());
+    auto &cache = ResultCache::instance();
+    cache.storeActivity(key, sampleActivity());
+    const std::string path = cache.pathFor(key);
+    EXPECT_EQ(fs::path(path).filename().string(), "9525ce9da1cdab6e.json");
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), 1923u);
+    EXPECT_EQ(fnvHex(bytes), "812b5f3fd4bc8053") << bytes;
+    KernelActivity back;
+    EXPECT_TRUE(cache.fetchActivity(key, back));
 }

@@ -21,7 +21,9 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -199,6 +201,55 @@ class ServiceE2E : public ::testing::Test
 };
 
 std::unique_ptr<service::AwdServer> ServiceE2E::server_;
+
+TEST(ServiceSocket, AcceptedSessionGetsNoDelayAndNonBlocking)
+{
+    // Loopback listen -> connect -> accept, as the reactor sees it.
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr), len), 0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr *>(&addr), &len),
+              0);
+    RawConn client;
+    client.fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_EQ(::connect(client.fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    ::close(lfd);
+    ASSERT_GE(fd, 0);
+
+    auto noDelay = [&] {
+        int v = -1;
+        socklen_t n = sizeof v;
+        EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &n), 0);
+        return v;
+    };
+    EXPECT_EQ(noDelay(), 0); // Nagle is on until the helper runs
+    ASSERT_TRUE(service::prepareSessionSocket(fd));
+    EXPECT_EQ(noDelay(), 1);
+    EXPECT_NE(::fcntl(fd, F_GETFL, 0) & O_NONBLOCK, 0);
+    ::close(fd);
+}
+
+TEST(ServiceSocket, FailedNoDelayKeepsTheSession)
+{
+    // A pipe cannot take TCP_NODELAY; the helper logs that and still
+    // hands back a usable non-blocking fd. Only a failed O_NONBLOCK
+    // (here: an invalid fd) drops the session.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    EXPECT_TRUE(service::prepareSessionSocket(fds[0]));
+    EXPECT_NE(::fcntl(fds[0], F_GETFL, 0) & O_NONBLOCK, 0);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    EXPECT_FALSE(service::prepareSessionSocket(-1));
+}
 
 TEST_F(ServiceE2E, PingAndStats)
 {
@@ -653,7 +704,7 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
     // ms later reliably attaches while the leader is still simulating,
     // and that an aborted connection (noticed within one ~50 ms poll
     // cycle) detaches well before the computation finishes.
-    constexpr int kSlow = 4096;
+    constexpr int kSlow = 16384;
     const auto pause = [] {
         std::this_thread::sleep_for(std::chrono::milliseconds(40));
     };

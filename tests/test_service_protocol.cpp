@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "core/result_cache.hpp"
 #include "service/protocol.hpp"
 
 using namespace aw;
@@ -425,6 +426,83 @@ TEST(ServiceCodec, ContentKeyIgnoresIdAndDeadlineOnly)
     EstimateRequest e = a;
     e.variant = "ptx";
     EXPECT_NE(requestContentKey(a), requestContentKey(e));
+}
+
+// --- Golden bytes ------------------------------------------------------
+// Replies, request payloads and content keys (the shared-memo address)
+// must stay byte-identical across builds. The expected strings were
+// recorded from the snprintf/strtod number writer that preceded
+// appendJsonNumber.
+
+TEST(ServiceGolden, ResponseBytesMatchTheRecordedFormat)
+{
+    EstimateResponse ok;
+    ok.id = "g-1";
+    ok.degraded = "cached";
+    ok.powerW = 100.0 / 3.0;      // 17 significant digits
+    ok.energyJ = 0.1 + 0.2;       // 17
+    ok.elapsedSec = 1e-7 / 3.0;   // 17, negative exponent
+    ok.constW = 40;               // integral
+    ok.staticW = 2.5e-300;        // tiny
+    ok.idleSmW = 123456.789;      // 9 digits: the %.12g form
+    ok.dynamicW = 1.0 / 7.0 * 1e20; // 17, positive exponent
+    std::string out = "prefix|";
+    appendResponseJson(ok, out);
+    EXPECT_EQ(out,
+              "prefix|{\"status\":\"ok\",\"id\":\"g-1\","
+              "\"degraded\":\"cached\",\"power_w\":33.333333333333336,"
+              "\"energy_j\":0.30000000000000004,"
+              "\"elapsed_sec\":3.3333333333333334e-08,"
+              "\"breakdown\":{\"const_w\":40,\"static_w\":2.5e-300,"
+              "\"idle_sm_w\":123456.789,"
+              "\"dynamic_w\":1.4285714285714285e+19}}");
+
+    EstimateResponse shed;
+    shed.status = "shed";
+    shed.id = "g-2";
+    shed.replayed = true;
+    shed.retryAfterMs = 250.5;
+    EXPECT_EQ(responseToJson(shed),
+              "{\"status\":\"shed\",\"id\":\"g-2\",\"replayed\":true,"
+              "\"retry_after_ms\":250.5}");
+}
+
+TEST(ServiceGolden, RequestBytesAndContentKeysMatchTheRecordedFormat)
+{
+    EstimateRequest req = sampleRequest();
+    req.kernel.mix[1].weight = 1.0 / 3.0;
+    EXPECT_EQ(requestToJson(req),
+              "{\"type\":\"estimate\",\"id\":\"req-1\",\"card\":\"volta\","
+              "\"variant\":\"sass\",\"freq_ghz\":1.132,\"detail\":2,"
+              "\"deadline_ms\":1500,\"kernel\":{\"name\":\"proto_k\","
+              "\"ctas\":64,\"warps_per_cta\":4,\"ctas_per_sm\":2,"
+              "\"sm_limit\":0,\"body_insts\":64,\"iterations\":16,\"ilp\":4,"
+              "\"active_lanes\":32,\"mem_footprint_kb\":512.25,"
+              "\"pointer_chase\":true,\"txn_per_access\":1,\"seed\":42,"
+              "\"mix\":[{\"op\":\"ffma\",\"w\":0.5},{\"op\":\"ldg\","
+              "\"w\":0.33333333333333331},{\"op\":\"iadd\",\"w\":0.2}]}}");
+    EXPECT_EQ(requestContentKey(req), "11143d823d92bb67");
+
+    EstimateRequest act;
+    act.id = "g-act";
+    act.hasActivity = true;
+    act.activity.kernelName = "golden_trace";
+    act.activity.totalCycles = 1000.5;
+    act.activity.elapsedSec = 1.0 / 3.0 * 1e-6;
+    ActivitySample sample;
+    sample.cycles = 1000.5;
+    sample.freqGhz = 1.417;
+    sample.voltage = 1.0012345678901234;
+    for (size_t i = 0; i < sample.accesses.size(); ++i)
+        sample.accesses[i] = 0.1 * static_cast<double>(i);
+    for (size_t i = 0; i < sample.unitInsts.size(); ++i)
+        sample.unitInsts[i] = 17.0 / (1.0 + static_cast<double>(i));
+    sample.intAddInsts = 1e9 / 3.0;
+    act.activity.samples.push_back(sample);
+    const std::string payload = requestToJson(act);
+    EXPECT_EQ(payload.size(), 623u);
+    EXPECT_EQ(fnv1a64(payload), 0x05276042b0c301baULL) << payload;
+    EXPECT_EQ(requestContentKey(act), "90721b0d692cfdbf");
 }
 
 } // namespace
