@@ -4,14 +4,18 @@
  * google-benchmark `perf_simulator` binary): SASS/PTX trace generation,
  * the cache model, single-kernel simulation, the silicon oracle, and
  * AccelWattch power evaluation — plus `sim_phases`, the phase-time
- * attribution bench that runs the simulator with AW_PHASES-style
- * accounting live and writes `results/BENCH_sim_phases.json`, the
- * wall-time breakdown the ROADMAP-1 parallelization work starts from.
+ * attribution bench that runs the simulator with the profiler on and
+ * writes each simulator zone's self time to
+ * `results/BENCH_sim_phases.json`, the wall-time breakdown the
+ * ROADMAP-1 parallelization work starts from.
  */
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/calibration.hpp"
-#include "obs/phase_timer.hpp"
+#include "obs/trace.hpp"
 #include "perflab/perflab.hpp"
 #include "sim/cache.hpp"
 #include "ubench/microbench.hpp"
@@ -255,12 +259,12 @@ EvalState g_eval;
 
 // ---------------------------------------------------- phase attribution
 
-// sim_phases: run the simulate+evaluate hot path with the PhaseTimer
-// layer live and attribute the rounds' wall time to named phases. The
-// resulting BENCH_sim_phases.json is the serial-time breakdown the
-// ROADMAP-1 parallelization PR targets; the bench fails if less than
-// 95% of wall time lands in a named phase (the attribution would be
-// lying about where time goes).
+// sim_phases: run the simulate+evaluate hot path with the profiler on
+// and attribute the rounds' wall time to the simulator's zones by self
+// time. The resulting BENCH_sim_phases.json is the serial-time breakdown
+// the ROADMAP-1 parallelization PR targets; the bench fails if the
+// zones' summed self time covers less than 95% of wall time (the
+// attribution would be lying about where time goes).
 struct PhasesState
 {
     std::unique_ptr<GpuSimulator> sim;
@@ -270,23 +274,32 @@ struct PhasesState
 };
 PhasesState g_phases;
 
+/** The phase_<name> extras and the zone each one reads. */
+constexpr std::pair<const char *, const char *> kPhaseZones[] = {
+    {"tracegen", "sim/tracegen"}, {"setup", "sim/setup"},
+    {"issue", "sim/issue"},       {"memory", "sim/memory"},
+    {"sampling", "sim/sampling"}, {"finalize", "sim/finalize"},
+    {"evaluate", "power/evaluate"}, {"tune", "tune/qp"},
+    {"sync", "sim/sync"},
+};
+
 void
 phasesInit(perflab::BenchContext &)
 {
     g_phases.sim = std::make_unique<GpuSimulator>(voltaGV100());
     g_phases.model = std::make_unique<AccelWattchModel>(syntheticModel());
-    g_phases.wasEnabled = obs::PhaseTimers::instance().enabled();
+    g_phases.wasEnabled = obs::Profiler::enabled();
     g_phases.watts = 0;
-    obs::PhaseTimers::instance().setEnabled(true);
+    obs::Profiler::setEnabled(true);
 }
 
 void
 phasesRound(perflab::BenchContext &ctx)
 {
-    // Warmup rounds accumulate too; drop them so phase seconds line up
-    // with the harness's timed-round total.
+    // Warmup rounds tally too; drop them (and their trace events) so
+    // zone seconds line up with the harness's timed-round total.
     if (ctx.firstTimedRound())
-        obs::PhaseTimers::instance().reset();
+        obs::Profiler::instance().clear();
     KernelActivity compute = g_phases.sim->runSass(computeKernel());
     KernelActivity memory = g_phases.sim->runSass(memoryKernel());
     g_phases.watts += g_phases.model->evaluateKernel(compute).totalW();
@@ -296,30 +309,31 @@ phasesRound(perflab::BenchContext &ctx)
 void
 phasesFini(perflab::BenchContext &ctx)
 {
-    auto &timers = obs::PhaseTimers::instance();
-    auto snap = timers.snapshot();
-    double phaseSec = timers.totalSec();
-    double wallSec = ctx.stats().sum();
-    double coverage = wallSec > 0 ? phaseSec / wallSec : 0;
-
-    timers.publish();
-    for (size_t i = 0; i < obs::kNumSimPhases; ++i) {
-        std::string name =
-            obs::simPhaseName(static_cast<obs::SimPhase>(i));
-        ctx.setExtra("phase_" + name + "_sec", snap[i].sec);
-        ctx.setExtra("phase_" + name + "_frac",
-                     phaseSec > 0 ? snap[i].sec / phaseSec : 0);
+    std::map<std::string, double> selfSec;
+    double totalSec = 0;
+    for (const obs::ZoneStat &z : obs::Profiler::instance().zoneStats()) {
+        selfSec[z.name] = z.selfUs * 1e-6;
+        totalSec += z.selfUs * 1e-6;
     }
-    ctx.setExtra("phase_total_sec", phaseSec);
+    double wallSec = ctx.stats().sum();
+    double coverage = wallSec > 0 ? totalSec / wallSec : 0;
+
+    for (const auto &[phase, zone] : kPhaseZones) {
+        double sec = selfSec[zone];
+        ctx.setExtra(std::string("phase_") + phase + "_sec", sec);
+        ctx.setExtra(std::string("phase_") + phase + "_frac",
+                     totalSec > 0 ? sec / totalSec : 0);
+    }
+    ctx.setExtra("phase_total_sec", totalSec);
     ctx.setExtra("wall_sec", wallSec);
     ctx.setExtra("coverage", coverage);
     ctx.setExtra("watts_checksum", g_phases.watts);
     if (coverage < 0.95)
-        ctx.fail("phase attribution covers only " +
+        ctx.fail("zone self time covers only " +
                  std::to_string(100 * coverage) +
                  "% of wall time (want >= 95%)");
 
-    timers.setEnabled(g_phases.wasEnabled);
+    obs::Profiler::setEnabled(g_phases.wasEnabled);
     g_phases.sim.reset();
     g_phases.model.reset();
 }

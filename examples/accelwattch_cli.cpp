@@ -28,8 +28,9 @@
  *                         calibrating in-process
  *     --save-model FILE   write the calibrated model and exit
  *     --trace             print the 500-cycle power trace
- *     --metrics-out FILE  write run telemetry (metrics registry, zone
- *                         aggregates, per-kernel rows); ".csv" selects CSV
+ *     --metrics-out FILE  record profiling zones, write run telemetry
+ *                         (metrics registry, zone tallies, per-kernel
+ *                         rows); ".csv" selects CSV
  *     --trace-out FILE    record profiling zones, write Chrome trace JSON
  *     --powerscope-out BASE  record the power timeline and write the
  *                         PowerScope triple: BASE.json (residual /
@@ -61,7 +62,6 @@
 #include "hw/fault_injector.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/powerscope.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -139,8 +139,6 @@ writeSinks(const std::string &metricsOut, const std::string &traceOut,
     // missing parent directories — a run can no longer die at the finish
     // line because results/ does not exist yet.
     if (!metricsOut.empty()) {
-        // Surface the AW_PHASES breakdown (no-op when nothing recorded).
-        obs::PhaseTimers::instance().publish();
         if (metricsOut.size() > 4 &&
             metricsOut.compare(metricsOut.size() - 4, 4, ".csv") == 0)
             obs::writeMetricsCsv(metricsOut);
@@ -231,7 +229,6 @@ usage()
 int
 main(int argc, char **argv)
 {
-    obs::initPhaseTimersFromEnv();
     KernelDescriptor k = makeKernel("cli_kernel",
                                     {{OpClass::FpFma, 0.6},
                                      {OpClass::IntAdd, 0.4}},
@@ -304,7 +301,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (!traceOut.empty())
+    if (!metricsOut.empty() || !traceOut.empty())
         obs::Profiler::instance().setEnabled(true);
     if (!powerscopeOut.empty()) {
         obs::PowerScope::instance().setEnabled(true);

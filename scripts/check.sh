@@ -21,10 +21,11 @@
 # AW_BENCH_SLOWDOWN=2 proves the gate can actually fail.
 #
 # The default sweep also runs a simpar leg: the sharded-simulator
-# determinism suite (test_sim_parallel) re-runs in the TSan tree with
-# AW_SIM_THREADS=4, then the plain build runs the sim_scaling bench at
-# 1 and 8 simulator threads and fails if the 8-thread watts checksum
-# diverges from the 1-thread one.
+# determinism suite (test_sim_parallel) and the profiler's ProfilerTest
+# cases (per-thread zone tallies and their merge at export) re-run in
+# the TSan tree with AW_SIM_THREADS=4, then the plain build runs the
+# sim_scaling bench at 1 and 8 simulator threads and fails if the
+# 8-thread watts checksum diverges from the 1-thread one.
 #
 # Usage:
 #   scripts/check.sh [--configure-only] [--build-dir DIR]
@@ -43,7 +44,7 @@
 #   --update-baselines      rewrite results/baselines from a fresh run
 #                           on this machine instead of gating against it
 #   --simpar                run only the sharded-simulator determinism
-#                           leg (TSan test + cross-thread checksum)
+#                           leg (TSan tests + cross-thread checksum)
 #   --service               run only the awd daemon leg (smoke client,
 #                           chaos client under AW_FAULTS, clean SIGTERM
 #                           drain)
@@ -398,23 +399,31 @@ service_obs_leg() {
 }
 
 # Sharded-simulator determinism leg.
-#   $1 = TSan build dir holding test_sim_parallel (built here if absent)
-# Part 1 re-runs the determinism suite under TSan with AW_SIM_THREADS=4
-# so the epoch loop's cross-thread handoffs are raced for real; part 2
+#   $1 = TSan build dir holding test_sim_parallel and test_trace_export
+#        (built here if absent)
+# Part 1 re-runs the determinism suite and the ProfilerTest cases under
+# TSan with AW_SIM_THREADS=4 so the epoch loop's cross-thread handoffs
+# and the per-thread zone tallies (written by shard workers, merged by
+# the exporter) are raced for real; part 2
 # runs the sim_scaling bench in the plain tree at 1 and 8 simulator
 # threads and fails when the watts checksums differ — the end-to-end
 # proof that thread count cannot reach the power numbers.
 simpar() {
     local tsan_dir=$1
     local dir=build-perf
-    if [[ ! -x "${tsan_dir}/tests/test_sim_parallel" ]]; then
+    if [[ ! -x "${tsan_dir}/tests/test_sim_parallel" ||
+          ! -x "${tsan_dir}/tests/test_trace_export" ]]; then
         echo "== simpar: configure + build (AW_SANITIZE=thread) -> ${tsan_dir}"
         cmake -B "${tsan_dir}" -S . -DAW_SANITIZE=thread >/dev/null
-        cmake --build "${tsan_dir}" -j --target test_sim_parallel >/dev/null
+        cmake --build "${tsan_dir}" -j \
+            --target test_sim_parallel test_trace_export >/dev/null
     fi
     echo "== simpar: determinism suite under TSan (AW_SIM_THREADS=4)"
     AW_SIM_THREADS=4 ctest --test-dir "${tsan_dir}" --output-on-failure \
         -R test_sim_parallel
+    echo "== simpar: profiler zone tallies under TSan (AW_SIM_THREADS=4)"
+    AW_SIM_THREADS=4 "${tsan_dir}/tests/test_trace_export" \
+        --gtest_filter='ProfilerTest.*'
 
     echo "== simpar: sim_scaling at 1 and 8 simulator threads -> ${dir}"
     cmake -B "${dir}" -S . >/dev/null

@@ -447,7 +447,9 @@ fetchEntryIn(const std::string &dir, const std::string &key,
  * crashed mid-store — so a killed daemon can never wedge the cache.
  * Acquisition failure is not an error: entries are content-addressed,
  * so whoever holds the lock is writing the identical bytes and the
- * loser simply skips its redundant store.
+ * loser simply skips its redundant store. A failure because the cache
+ * directory does not exist is reported by dirMissing(), so the store
+ * path creates the directory only then instead of on every store.
  */
 class EntryWriteLock
 {
@@ -457,13 +459,16 @@ class EntryWriteLock
     bool tryAcquire(const std::string &lockPath)
     {
         path_ = lockPath;
+        dirMissing_ = false;
         for (int attempt = 0; attempt < 50; ++attempt) {
             fd_ = ::open(lockPath.c_str(), O_CREAT | O_EXCL | O_WRONLY,
                          0644);
             if (fd_ >= 0)
                 return true;
-            if (errno != EEXIST)
+            if (errno != EEXIST) {
+                dirMissing_ = errno == ENOENT;
                 return false;
+            }
             if (attempt == 0)
                 obs::metrics().counter("cache.lock_contended").add(1);
             // Steal a stale lock left by a crashed writer.
@@ -496,8 +501,12 @@ class EntryWriteLock
         }
     }
 
+    /** The last tryAcquire() failed because the directory is gone. */
+    bool dirMissing() const { return dirMissing_; }
+
   private:
     int fd_ = -1;
+    bool dirMissing_ = false;
     std::string path_;
 };
 
@@ -506,10 +515,16 @@ storeEntryIn(const std::string &dir, const std::string &key,
              const char *kind, const std::string &valueJson)
 {
     std::error_code ec;
-    fs::create_directories(dir, ec);
     std::string path = entryPathIn(dir, key);
     EntryWriteLock lock;
-    if (!lock.tryAcquire(path + ".lock")) {
+    bool locked = lock.tryAcquire(path + ".lock");
+    if (!locked && lock.dirMissing()) {
+        // First store into this directory, or it was removed under a
+        // live cache: create it and retry once.
+        fs::create_directories(dir, ec);
+        locked = lock.tryAcquire(path + ".lock");
+    }
+    if (!locked) {
         AW_DEBUGF("core", "result cache: store of %s skipped (lock held "
                   "by a concurrent writer)", path.c_str());
         return;

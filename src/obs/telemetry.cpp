@@ -8,7 +8,6 @@
 #include "common/table.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/powerscope.hpp"
 #include "obs/trace.hpp"
 
@@ -58,7 +57,8 @@ Telemetry::toJson() const
         first = false;
         out << "\n  {\"name\": \"" << jsonEscape(z.name)
             << "\", \"count\": " << z.count
-            << ", \"total_us\": " << jsonNumber(z.totalUs) << "}";
+            << ", \"total_us\": " << jsonNumber(z.totalUs)
+            << ", \"self_us\": " << jsonNumber(z.selfUs) << "}";
     }
     out << "\n],\n";
 
@@ -125,9 +125,6 @@ std::string g_envPowerScopeOut;
 void
 flushEnvSinks()
 {
-    // Phase gauges first, so AW_METRICS_OUT telemetry carries the
-    // breakdown; a no-op (no gauges created) when AW_PHASES is off.
-    PhaseTimers::instance().publish();
     if (!g_envMetricsOut.empty()) {
         if (g_envMetricsOut.size() > 4 &&
             g_envMetricsOut.compare(g_envMetricsOut.size() - 4, 4,
@@ -161,13 +158,16 @@ initSinksFromEnv()
     (void)Profiler::instance().events(); // also constructs the buffer list
     Telemetry::instance();
     PowerScope::instance();
-    if (const char *env = std::getenv("AW_METRICS_OUT"); env && *env)
+    // Every sink reports zones (telemetry's "zones" tallies, the trace's
+    // events), so each one turns the profiler on.
+    if (const char *env = std::getenv("AW_METRICS_OUT"); env && *env) {
         g_envMetricsOut = env;
+        Profiler::instance().setEnabled(true);
+    }
     if (const char *env = std::getenv("AW_TRACE_OUT"); env && *env) {
         g_envTraceOut = env;
         Profiler::instance().setEnabled(true);
     }
-    initPhaseTimersFromEnv();
     if (const char *env = std::getenv("AW_POWERSCOPE"); env && *env) {
         g_envPowerScopeOut = env;
         PowerScope::instance().setEnabled(true);

@@ -1,16 +1,19 @@
 /**
  * @file
  * Run-telemetry sink: one place that serializes everything a run
- * learned — the metrics registry, per-zone profiling aggregates, and
- * per-kernel performance/power summaries — to JSON or CSV at end of
- * run, so a tuning campaign or validation sweep leaves a machine-
- * readable record instead of scrollback.
+ * learned — the metrics registry, the profiler's per-zone tallies
+ * (count, inclusive and self time: where the simulator and the model
+ * spent the run's wall clock), and per-kernel performance/power
+ * summaries — to JSON or CSV at end of run, so a tuning campaign or
+ * validation sweep leaves a machine-readable record instead of
+ * scrollback.
  *
  * Wiring: binaries call writeMetricsJson()/writeTraceJson() behind
  * their --metrics-out/--trace-out flags, or let initSinksFromEnv()
  * arrange an at-exit flush from AW_METRICS_OUT / AW_TRACE_OUT (the
  * route the bench harness uses, so every figure bench is instrumented
- * without per-binary flag plumbing).
+ * without per-binary flag plumbing). Either sink turns the profiler on
+ * when it is requested, so the zones it reports are recorded.
  */
 #pragma once
 
@@ -49,7 +52,7 @@ class Telemetry
      * The run-telemetry JSON document:
      *   {"schema": "aw.telemetry.v1",
      *    "metrics": {<registry toJson>},
-     *    "zones": [{"name","count","total_us"}...],
+     *    "zones": [{"name","count","total_us","self_us"}...],
      *    "kernels": [{"name","phase","cycles",...}...]}
      */
     std::string toJson() const;
@@ -75,7 +78,7 @@ void writeTraceJson(const std::string &path);
 /**
  * Arrange end-of-process sinks from the environment: AW_METRICS_OUT
  * (telemetry JSON; a ".csv" suffix selects CSV), AW_TRACE_OUT (Chrome
- * trace JSON, also enables the profiler now), and AW_POWERSCOPE (base
+ * trace JSON) — both enable the profiler now — and AW_POWERSCOPE (base
  * path for the powerscope report/trace/dashboard triple; enables the
  * PowerScope collector and the profiler now). All sinks publish via
  * temp-file + atomic rename. Safe to call more than once; the flush

@@ -14,7 +14,9 @@ namespace aw::obs {
 /**
  * Per-thread recording state. Owned jointly by the thread (via a
  * thread_local pointer) and the global buffer list (shared_ptr), so
- * events survive thread exit until the next clear().
+ * events and tallies survive thread exit until the next clear(). The
+ * open-zone stack is touched only by the owning thread; `mu` guards
+ * what exporters read.
  */
 struct Profiler::ThreadBuf
 {
@@ -22,12 +24,24 @@ struct Profiler::ThreadBuf
     {
         const char *name;
         double tsUs;
+        double childUs; ///< inclusive time of zones closed inside this one
+        bool event;
+    };
+    struct Tally
+    {
+        const char *name;
+        uint64_t count = 0;
+        double totalUs = 0;
+        double selfUs = 0;
     };
 
     std::mutex mu; ///< serializes the owning thread vs. exporters
     uint32_t tid = 0;
     std::vector<Open> stack;
     std::vector<TraceEvent> done;
+    /** Keyed by name pointer: a thread sees a handful of zone names, so
+     *  a linear scan beats hashing; zoneStats() merges by string. */
+    std::vector<Tally> tallies;
 };
 
 namespace {
@@ -73,19 +87,11 @@ Profiler::instance()
 }
 
 void
-Profiler::setEnabled(bool on)
-{
-    enabled_.store(on, std::memory_order_relaxed);
-}
-
-void
-Profiler::begin(const char *name)
+Profiler::begin(const char *name, bool event)
 {
     std::chrono::duration<double, std::micro> ts =
         std::chrono::steady_clock::now() - epoch_;
-    ThreadBuf &buf = localBuf();
-    std::lock_guard<std::mutex> lock(buf.mu);
-    buf.stack.push_back({name, ts.count()});
+    localBuf().stack.push_back({name, ts.count(), 0.0, event});
 }
 
 void
@@ -94,18 +100,26 @@ Profiler::end()
     std::chrono::duration<double, std::micro> ts =
         std::chrono::steady_clock::now() - epoch_;
     ThreadBuf &buf = localBuf();
-    std::lock_guard<std::mutex> lock(buf.mu);
     if (buf.stack.empty())
-        return; // zone opened before enable / after clear
+        return; // unbalanced end()
     ThreadBuf::Open open = buf.stack.back();
     buf.stack.pop_back();
-    TraceEvent e;
-    e.name = open.name;
-    e.tsUs = open.tsUs;
-    e.durUs = std::max(0.0, ts.count() - open.tsUs);
-    e.tid = buf.tid;
-    e.depth = static_cast<uint32_t>(buf.stack.size());
-    buf.done.push_back(std::move(e));
+    const double durUs = std::max(0.0, ts.count() - open.tsUs);
+    if (!buf.stack.empty())
+        buf.stack.back().childUs += durUs;
+
+    std::lock_guard<std::mutex> lock(buf.mu);
+    auto it = std::find_if(
+        buf.tallies.begin(), buf.tallies.end(),
+        [&](const ThreadBuf::Tally &t) { return t.name == open.name; });
+    if (it == buf.tallies.end())
+        it = buf.tallies.insert(it, ThreadBuf::Tally{open.name});
+    it->count += 1;
+    it->totalUs += durUs;
+    it->selfUs += std::max(0.0, durUs - open.childUs);
+    if (open.event)
+        buf.done.push_back({open.name, open.tsUs, durUs, buf.tid,
+                            static_cast<uint32_t>(buf.stack.size())});
 }
 
 void
@@ -140,11 +154,24 @@ std::vector<ZoneStat>
 Profiler::zoneStats() const
 {
     std::map<std::string, ZoneStat> agg;
-    for (const TraceEvent &e : events()) {
-        ZoneStat &s = agg[e.name];
-        s.name = e.name;
-        s.count += 1;
-        s.totalUs += e.durUs;
+    auto add = [&](const std::string &name, uint64_t count, double totalUs,
+                   double selfUs) {
+        ZoneStat &s = agg[name];
+        s.name = name;
+        s.count += count;
+        s.totalUs += totalUs;
+        s.selfUs += selfUs;
+    };
+    {
+        std::lock_guard<std::mutex> lock(g_externalMutex);
+        for (const TraceEvent &e : externalList())
+            add(e.name, 1, e.durUs, e.durUs);
+    }
+    std::lock_guard<std::mutex> listLock(g_bufListMutex);
+    for (const auto &buf : bufList()) {
+        std::lock_guard<std::mutex> lock(buf->mu);
+        for (const ThreadBuf::Tally &t : buf->tallies)
+            add(t.name, t.count, t.totalUs, t.selfUs);
     }
     std::vector<ZoneStat> out;
     out.reserve(agg.size());
@@ -183,8 +210,8 @@ Profiler::clear()
     std::lock_guard<std::mutex> listLock(g_bufListMutex);
     for (const auto &buf : bufList()) {
         std::lock_guard<std::mutex> lock(buf->mu);
-        buf->stack.clear();
         buf->done.clear();
+        buf->tallies.clear();
     }
 }
 

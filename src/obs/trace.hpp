@@ -1,28 +1,40 @@
 /**
  * @file
- * Scoped profiling zones with Chrome trace-event export.
+ * Scoped profiling zones: the one timer the simulator and the modeling
+ * pipeline use to say where a run's wall clock goes.
  *
  * Usage:
  *     void GpuSimulator::run(...) {
  *         AW_PROF_SCOPE("sim/kernel");
  *         ...
- *         { AW_PROF_SCOPE("sim/wave"); ... }   // nests under sim/kernel
+ *         { AW_PROF_SCOPE("sim/issue"); ... }  // nests under sim/kernel
  *     }
  *
- * Zones nest per thread (a thread-local stack) and accumulate into
- * per-thread buffers, merged at export time into the Chrome
- * trace-event JSON format that chrome://tracing and Perfetto load
- * directly ("X" complete events with microsecond timestamps).
+ * Zones nest per thread (a thread-local stack). When a zone closes it
+ * adds its count, inclusive time and self time (inclusive minus the
+ * zones nested inside it on the same thread) to a per-thread, per-name
+ * tally; zoneStats() merges the tallies across threads, so the self
+ * times of all zones sum to the wall time of the outermost ones instead
+ * of double-counting nesting. A zone also stores one Chrome "X" trace
+ * event, merged at export time into the trace-event JSON that
+ * chrome://tracing and Perfetto load directly — except zones opened
+ * with AW_PROF_TALLY, which only tally. Those are for sites inside the
+ * simulator's cycle loop (one zone per memory instruction, per sample
+ * close, per shard epoch), where an event each would swamp the trace.
  *
- * Cost model: tracing is off by default. A disabled AW_PROF_SCOPE is
- * one relaxed atomic load and two branches — cheap enough to leave in
- * the simulator's per-kernel paths (per-cycle paths should still not
- * carry zones). Enabled zones take one steady_clock read at entry and
- * exit plus a short lock on the owning thread's buffer.
+ * Threads: tallies are per thread, so a thread's zones never nest under
+ * another thread's. A coordinator that holds a zone across a parallel
+ * region therefore gets its wait for the workers as self time — on a
+ * sharded simulation the coordinator's `sim/kernel` self time is its
+ * wait for the shards, while the shards' own work lands in the workers'
+ * `sim/issue` / `sim/memory` / `sim/sampling` tallies. Summed self time
+ * then exceeds wall time by that wait; serial runs sum exactly.
  *
- * Besides raw events, the profiler keeps per-zone aggregates (count and
- * total inclusive time) so the telemetry sink can report where a run's
- * wall clock went without shipping the full event stream.
+ * Cost model: profiling is off by default. A disabled zone is one
+ * relaxed atomic load and a branch — no clock read, no thread_local
+ * access — cheap enough for the per-memory-instruction zone. An enabled
+ * zone takes one steady_clock read at entry and exit plus a short lock
+ * on the owning thread's buffer at exit.
  */
 #pragma once
 
@@ -50,6 +62,7 @@ struct ZoneStat
     std::string name;
     uint64_t count = 0;
     double totalUs = 0; ///< summed inclusive time
+    double selfUs = 0;  ///< summed self time (minus nested zones)
 };
 
 /** Process-wide zone collector. */
@@ -60,15 +73,16 @@ class Profiler
 
     /** Turn collection on/off. Zones opened while disabled are ignored
      *  entirely; zones open across a flip close harmlessly. */
-    void setEnabled(bool on);
-    bool enabled() const
+    static void setEnabled(bool on)
     {
-        return enabled_.load(std::memory_order_relaxed);
+        enabled_.store(on, std::memory_order_relaxed);
     }
+    static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
     /** Open a zone on the calling thread. `name` must outlive the
-     *  profiler (string literals; zone names are a fixed vocabulary). */
-    void begin(const char *name);
+     *  profiler (string literals; zone names are a fixed vocabulary).
+     *  With `event` false the zone only tallies (see AW_PROF_TALLY). */
+    void begin(const char *name, bool event = true);
 
     /** Close the calling thread's innermost zone. */
     void end();
@@ -93,14 +107,16 @@ class Profiler
     /** All completed events, merged across threads, start-time order. */
     std::vector<TraceEvent> events() const;
 
-    /** Per-name aggregates, name order. */
+    /** Per-name tallies merged across threads, name order. Emitted
+     *  events count too, with their whole duration as self time. */
     std::vector<ZoneStat> zoneStats() const;
 
     /** Chrome trace-event JSON ({"traceEvents": [...]}) for
      *  chrome://tracing / Perfetto. */
     std::string chromeTraceJson() const;
 
-    /** Drop all recorded events and aggregates (keeps enabled state). */
+    /** Drop all recorded events and tallies (keeps enabled state).
+     *  Zones still open record when they close. */
     void clear();
 
     struct ThreadBuf; ///< implementation detail (public for the TU)
@@ -109,20 +125,20 @@ class Profiler
     Profiler() = default;
     ThreadBuf &localBuf();
 
-    std::atomic<bool> enabled_{false};
+    inline static std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_ =
         std::chrono::steady_clock::now();
 };
 
-/** RAII zone; see AW_PROF_SCOPE. */
+/** RAII zone; see AW_PROF_SCOPE and AW_PROF_TALLY. */
 class ZoneScope
 {
   public:
-    explicit ZoneScope(const char *name)
-        : active_(Profiler::instance().enabled())
+    explicit ZoneScope(const char *name, bool event = true)
+        : active_(Profiler::enabled())
     {
         if (active_)
-            Profiler::instance().begin(name);
+            Profiler::instance().begin(name, event);
     }
     ~ZoneScope()
     {
@@ -142,5 +158,9 @@ class ZoneScope
 /** Open a profiling zone covering the rest of the enclosing scope. */
 #define AW_PROF_SCOPE(name)                                                  \
     ::aw::obs::ZoneScope AW_PROF_CONCAT(awProfZone_, __LINE__)(name)
+
+/** Same, but the zone only tallies: no trace event (cycle-loop sites). */
+#define AW_PROF_TALLY(name)                                                  \
+    ::aw::obs::ZoneScope AW_PROF_CONCAT(awProfZone_, __LINE__)(name, false)
 
 } // namespace aw::obs

@@ -242,8 +242,8 @@ namespace {
 const char *const kRecordedEnv[] = {
     "AW_THREADS",       "AW_SIM_THREADS",   "AW_SIM_DETAIL",
     "AW_CACHE",         "AW_FAULTS",        "AW_POWERSCOPE",
-    "AW_PHASES",        "AW_BENCH_ROUNDS",  "AW_BENCH_FILTER",
-    "AW_BENCH_SLOWDOWN"};
+    "AW_METRICS_OUT",   "AW_TRACE_OUT",     "AW_BENCH_ROUNDS",
+    "AW_BENCH_FILTER",  "AW_BENCH_SLOWDOWN"};
 
 } // namespace
 

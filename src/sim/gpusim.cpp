@@ -10,7 +10,6 @@
 
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 #include "sim/shard.hpp"
 
@@ -124,8 +123,8 @@ GpuSimulator::run(const KernelDescriptor &desc, const WarpProgram &program,
                   const SimOptions &opts) const
 {
     AW_PROF_SCOPE("sim/kernel");
-    std::optional<obs::PhaseScope> setupPhase;
-    setupPhase.emplace(obs::SimPhase::Setup);
+    std::optional<obs::ZoneScope> setupZone;
+    setupZone.emplace("sim/setup");
     const double f = opts.freqGhz > 0 ? opts.freqGhz : gpu_.defaultClockGhz;
     LaunchShape shape = launchShape(desc);
 
@@ -133,8 +132,8 @@ GpuSimulator::run(const KernelDescriptor &desc, const WarpProgram &program,
     if (detail > 1) {
         // Sharded engine: distinct detailed SM groups on worker
         // threads, epoch-synced at the memory boundary. It opens its
-        // own phase scopes (workers attribute their own time).
-        setupPhase.reset();
+        // own zones (workers tally their own time).
+        setupZone.reset();
         t_lastStats = SimRunStats{};
         KernelActivity out = runShardedSim(gpu_, desc, program, opts,
                                            shape, f, detail, t_lastStats);
@@ -159,7 +158,7 @@ GpuSimulator::run(const KernelDescriptor &desc, const WarpProgram &program,
 
     KernelActivity out;
     out.kernelName = desc.name;
-    setupPhase.reset();
+    setupZone.reset();
 
     const double interval = opts.sampleIntervalCycles;
     double now = 0;
@@ -167,11 +166,10 @@ GpuSimulator::run(const KernelDescriptor &desc, const WarpProgram &program,
     bool cancelled = false;
     const auto simStart = std::chrono::steady_clock::now();
     {
-        AW_PROF_SCOPE("sim/wave");
-        // The issue phase owns the whole wave loop; the memory scopes
-        // opened inside SmCore::memoryLatency and the sampling scope
+        // The issue zone owns the whole wave loop; the memory zones
+        // opened inside SmCore::memoryLatency and the sampling zone
         // below subtract themselves, leaving scheduling + issue time.
-        obs::PhaseScope issuePhase(obs::SimPhase::Issue);
+        AW_PROF_SCOPE("sim/issue");
         while (!sm.done() && now < static_cast<double>(opts.maxCycles)) {
             if (opts.cancel &&
                 opts.cancel->load(std::memory_order_relaxed)) {
@@ -186,7 +184,7 @@ GpuSimulator::run(const KernelDescriptor &desc, const WarpProgram &program,
             // collapse that run of all-idle intervals into one sample
             // instead of allocating one zero sample per interval.
             if (next >= sampleStart + interval) {
-                obs::PhaseScope samplingPhase(obs::SimPhase::Sampling);
+                AW_PROF_TALLY("sim/sampling");
                 ActivitySample s = sm.drainActivity();
                 s.cycles = interval;
                 out.samples.push_back(std::move(s));
@@ -203,7 +201,7 @@ GpuSimulator::run(const KernelDescriptor &desc, const WarpProgram &program,
             now = next;
         }
     }
-    obs::PhaseScope finalizePhase(obs::SimPhase::Finalize);
+    AW_PROF_SCOPE("sim/finalize");
     t_lastStats = SimRunStats{};
     t_lastStats.cancelled = cancelled;
     t_lastStats.simulateSec = std::chrono::duration<double>(
@@ -257,7 +255,7 @@ GpuSimulator::runSass(const KernelDescriptor &desc,
 {
     WarpProgram program;
     {
-        obs::PhaseScope tracegenPhase(obs::SimPhase::Tracegen);
+        AW_PROF_SCOPE("sim/tracegen");
         program = generateSassProgram(desc);
     }
     return run(desc, program, opts);
@@ -269,7 +267,7 @@ GpuSimulator::runPtx(const KernelDescriptor &desc,
 {
     WarpProgram program;
     {
-        obs::PhaseScope tracegenPhase(obs::SimPhase::Tracegen);
+        AW_PROF_SCOPE("sim/tracegen");
         program = generatePtxProgram(desc);
     }
     return run(desc, program, opts);

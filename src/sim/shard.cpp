@@ -8,7 +8,7 @@
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
+#include "obs/trace.hpp"
 
 namespace aw {
 
@@ -77,7 +77,7 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
     AW_ASSERT(detail >= 2);
     std::vector<Shard> shards;
     {
-        obs::PhaseScope setupPhase(obs::SimPhase::Setup);
+        AW_PROF_SCOPE("sim/setup");
         ShardPlan plan = planShards(shape.activeSms, detail);
         shards.resize(plan.smCounts.size());
         for (size_t g = 0; g < shards.size(); ++g) {
@@ -142,9 +142,9 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
             if (sh.sm->done() || sh.now >= cap)
                 return;
             const Clock::time_point t0 = Clock::now();
-            // Workers own their phase scopes; the coordinator holds no
-            // scope across this region (see obs/phase_timer.hpp).
-            obs::PhaseScope issuePhase(obs::SimPhase::Issue);
+            // Workers tally their own epochs; the coordinator's
+            // sim/kernel self time is its wait (see obs/trace.hpp).
+            AW_PROF_TALLY("sim/issue");
             SmCore &sm = *sh.sm;
             while (!sm.done() && sh.now < cap && sh.now < epochEnd) {
                 double next = sm.step(sh.now);
@@ -153,7 +153,7 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
                 // step/close sequence, so epoch size cannot change the
                 // shard's output.
                 if (next >= sh.sampleStart + interval) {
-                    obs::PhaseScope samplingPhase(obs::SimPhase::Sampling);
+                    AW_PROF_TALLY("sim/sampling");
                     ActivitySample s = sm.drainActivity();
                     s.cycles = interval;
                     sh.samples.push_back(std::move(s));
@@ -177,7 +177,7 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
         // Epoch barrier: drain every shard's memory ledger in SM-index
         // order so the chip totals accumulate identically at any thread
         // count.
-        obs::PhaseScope syncPhase(obs::SimPhase::Sync);
+        AW_PROF_TALLY("sim/sync");
         const Clock::time_point t0 = Clock::now();
         for (Shard &sh : shards) {
             MemTraffic t = sh.mem->drainTraffic();
@@ -195,7 +195,7 @@ runShardedSim(const GpuConfig &gpu, const KernelDescriptor &desc,
     for (const Shard &sh : shards)
         stats.shardBusySec.push_back(sh.busySec);
 
-    obs::PhaseScope finalizePhase(obs::SimPhase::Finalize);
+    AW_PROF_SCOPE("sim/finalize");
     const Clock::time_point mergeStart = Clock::now();
     double maxNow = 0;
     for (Shard &sh : shards) {

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/log.hpp"
-#include "obs/phase_timer.hpp"
+#include "obs/trace.hpp"
 
 namespace aw {
 
@@ -166,9 +166,9 @@ SmCore::memoryLatency(size_t w, const TraceInst &inst,
                       const DecodedInst &dec, double now,
                       double &occupancy)
 {
-    // Nested under the wave loop's issue scope: memory-instruction
-    // modeling time lands here, exclusively.
-    obs::PhaseScope memoryPhase(obs::SimPhase::Memory);
+    // Nested under the wave loop's issue zone: memory-instruction
+    // modeling time lands here as self time.
+    AW_PROF_TALLY("sim/memory");
     const int txns = std::max<int>(1, inst.transactions);
     const double baseII = dec.effII;
     double worst = 0;

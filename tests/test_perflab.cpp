@@ -3,12 +3,10 @@
  * PerfLab harness unit tests: Welford statistics against closed-form
  * results, exact medians, the aw.bench.v1 artifact round-tripping
  * through the strict mini-JSON parser, the perf gate's pass and fail
- * paths (via the synthetic slowdown), and the PhaseTimer layer's
- * exclusive-time nesting plus its disabled-mode bit-identity contract.
+ * paths (via the synthetic slowdown).
  */
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -17,10 +15,7 @@
 
 #include "common/rng.hpp"
 #include "obs/json.hpp"
-#include "obs/phase_timer.hpp"
 #include "perflab/perflab.hpp"
-#include "sim/gpusim.hpp"
-#include "trace/workload.hpp"
 
 using namespace aw;
 namespace fs = std::filesystem;
@@ -194,112 +189,6 @@ TEST(Gate, PassesAtParityAndFailsOnSyntheticSlowdown)
     EXPECT_EQ(perflab::runBenches(gate), 1);
 
     fs::remove_all(dir);
-}
-
-// ------------------------------------------------------------ PhaseTimer
-
-void
-spinFor(double sec)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    volatile double sink = 0;
-    while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-               .count() < sec)
-        sink = sink + 1.0;
-}
-
-TEST(PhaseTimer, NestedScopesAttributeExclusiveTime)
-{
-    auto &timers = obs::PhaseTimers::instance();
-    bool was = timers.enabled();
-    timers.setEnabled(true);
-    timers.reset();
-
-    {
-        obs::PhaseScope issue(obs::SimPhase::Issue);
-        spinFor(0.02);
-        {
-            obs::PhaseScope memory(obs::SimPhase::Memory);
-            spinFor(0.02);
-        }
-        spinFor(0.02);
-    }
-
-    auto snap = timers.snapshot();
-    auto at = [&](obs::SimPhase p) {
-        return snap[static_cast<size_t>(p)];
-    };
-    EXPECT_EQ(at(obs::SimPhase::Issue).count, 1u);
-    EXPECT_EQ(at(obs::SimPhase::Memory).count, 1u);
-    // Exclusive attribution: the child's ~20ms is subtracted from the
-    // parent, so issue keeps ~40ms, not ~60ms. Bounds are loose for CI.
-    EXPECT_GT(at(obs::SimPhase::Memory).sec, 0.015);
-    EXPECT_LT(at(obs::SimPhase::Memory).sec, 0.05);
-    EXPECT_GT(at(obs::SimPhase::Issue).sec, 0.03);
-    EXPECT_LT(at(obs::SimPhase::Issue).sec, 0.058);
-    EXPECT_NEAR(timers.totalSec(),
-                at(obs::SimPhase::Issue).sec +
-                    at(obs::SimPhase::Memory).sec,
-                1e-12);
-
-    timers.reset();
-    timers.setEnabled(was);
-}
-
-TEST(PhaseTimer, DisabledScopesRecordNothing)
-{
-    auto &timers = obs::PhaseTimers::instance();
-    bool was = timers.enabled();
-    timers.setEnabled(false);
-    timers.reset();
-    {
-        obs::PhaseScope scope(obs::SimPhase::Evaluate);
-        spinFor(0.001);
-    }
-    EXPECT_EQ(timers.totalSec(), 0.0);
-    for (const auto &s : timers.snapshot())
-        EXPECT_EQ(s.count, 0u);
-    timers.setEnabled(was);
-}
-
-TEST(PhaseTimer, SimulatorOutputBitIdenticalWithLayerToggled)
-{
-    KernelDescriptor k = makeKernel("phase_identity",
-                                    {{OpClass::FpFma, 0.5},
-                                     {OpClass::LdGlobal, 0.5}},
-                                    16, 4);
-    k.memFootprintKb = 256;
-
-    auto &timers = obs::PhaseTimers::instance();
-    bool was = timers.enabled();
-
-    timers.setEnabled(false);
-    GpuSimulator simOff(voltaGV100());
-    KernelActivity off = simOff.runSass(k);
-
-    timers.setEnabled(true);
-    GpuSimulator simOn(voltaGV100());
-    KernelActivity on = simOn.runSass(k);
-    timers.reset();
-    timers.setEnabled(was);
-
-    ASSERT_EQ(off.samples.size(), on.samples.size());
-    EXPECT_EQ(off.totalCycles, on.totalCycles);
-    EXPECT_EQ(off.elapsedSec, on.elapsedSec);
-    auto aggOff = off.aggregate();
-    auto aggOn = on.aggregate();
-    EXPECT_EQ(aggOff.cycles, aggOn.cycles);
-    for (size_t c = 0; c < aggOff.accesses.size(); ++c)
-        EXPECT_EQ(aggOff.accesses[c], aggOn.accesses[c]);
-}
-
-TEST(PhaseTimer, PhaseNamesAreStable)
-{
-    EXPECT_STREQ(obs::simPhaseName(obs::SimPhase::Tracegen), "tracegen");
-    EXPECT_STREQ(obs::simPhaseName(obs::SimPhase::Issue), "issue");
-    EXPECT_STREQ(obs::simPhaseName(obs::SimPhase::Memory), "memory");
-    EXPECT_STREQ(obs::simPhaseName(obs::SimPhase::Tune), "tune");
 }
 
 } // namespace

@@ -139,6 +139,29 @@ TEST_F(ResultCacheTest, PowerMissThenHitBitExact)
     EXPECT_EQ(out, stored); // bit-exact, not just near
 }
 
+TEST_F(ResultCacheTest, StoreLandsAfterDirectoryRemovedMidUse)
+{
+    // The store path creates the directory only when taking the entry
+    // lock finds it missing; a directory deleted under a live cache
+    // (an operator clearing results/cache) must still be recreated.
+    auto &cache = ResultCache::instance();
+    cache.storePower("dir-gone-before", 1.5);
+    ASSERT_TRUE(fs::is_directory(dir_));
+    fs::remove_all(dir_);
+
+    const double stored = 2.0 / 3.0;
+    cache.storePower("dir-gone-after", stored);
+    ASSERT_TRUE(fs::exists(cache.pathFor("dir-gone-after")));
+    double out = 0;
+    ASSERT_TRUE(cache.fetchPower("dir-gone-after", out));
+    EXPECT_EQ(out, stored);
+    KernelActivity act;
+    cache.storeActivity("dir-gone-activity", sampleActivity());
+    EXPECT_TRUE(cache.fetchActivity("dir-gone-activity", act));
+    // No lock file is left behind by the failed first attempt.
+    EXPECT_FALSE(fs::exists(cache.pathFor("dir-gone-after") + ".lock"));
+}
+
 TEST_F(ResultCacheTest, ActivityRoundTripsBitExact)
 {
     auto &cache = ResultCache::instance();

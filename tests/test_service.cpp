@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -659,6 +660,16 @@ statOf(service::AwdServer &server, const std::string &key)
     return static_cast<long>(v.at("stats").at(key).asNumber());
 }
 
+/** One gauge out of the daemon's stats payload (-1 if unreadable). */
+long
+gaugeOf(service::AwdServer &server, const std::string &key)
+{
+    obs::JsonValue v;
+    if (!obs::tryParseJson(server.statsJson(), v))
+        return -1;
+    return static_cast<long>(v.at("gauges").at(key).asNumber());
+}
+
 std::string
 frameOf(const service::EstimateRequest &req)
 {
@@ -700,16 +711,47 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
-    // Slow enough (~hundreds of ms) that a duplicate sent a few tens of
-    // ms later reliably attaches while the leader is still simulating,
-    // and that an aborted connection (noticed within one ~50 ms poll
-    // cycle) detaches well before the computation finishes.
+    // Slow enough (~hundreds of ms) that the duplicate attaches while
+    // the leader is still simulating. Every step waits on the daemon's
+    // own counters and gauges instead of a guessed sleep; the reactor
+    // refreshes its gauges once per <= 50 ms loop iteration.
     constexpr int kSlow = 16384;
-    const auto pause = [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    const auto waitFor = [&](const std::function<bool()> &done) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (!done()) {
+            if (std::chrono::steady_clock::now() > deadline)
+                return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        return true;
     };
-    const auto settle = [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    const auto statIs = [&](const std::string &key, long want) {
+        return [&server, key, want] { return statOf(server, key) == want; };
+    };
+    const auto gaugeIs = [&](const std::string &key, long want) {
+        return [&server, key, want] { return gaugeOf(server, key) == want; };
+    };
+    // Leader first, then the duplicate once the leader's flight is
+    // admitted; returns once the duplicate has attached and the flight
+    // is verifiably still open (the precondition every phase needs).
+    const auto attachPair = [&](RawConn &leader, RawConn &follower,
+                                const std::string &leaderFrame,
+                                const std::string &followerFrame,
+                                long coalesced) {
+        ASSERT_TRUE(waitFor(gaugeIs("sessions_open", 0)));
+        const long admitted = statOf(server, "admitted") + 1;
+        ASSERT_TRUE(leader.connectTo(server.port()));
+        ASSERT_TRUE(leader.sendAll(leaderFrame));
+        ASSERT_TRUE(waitFor(statIs("admitted", admitted)));
+        ASSERT_TRUE(follower.connectTo(server.port()));
+        ASSERT_TRUE(follower.sendAll(followerFrame));
+        ASSERT_TRUE(waitFor(statIs("coalesced", coalesced)))
+            << "duplicate did not attach";
+        ASSERT_EQ(statOf(server, "admitted"), admitted);
+        ASSERT_TRUE(waitFor(gaugeIs("flights_open", 1)))
+            << "flight finished before the hang-up";
+        ASSERT_TRUE(waitFor(gaugeIs("sessions_open", 2)));
     };
 
     // Phase 1: the follower hangs up; the leader must keep its
@@ -718,16 +760,13 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
         const std::string frame =
             frameOf(estimateOf(testKernel(runUnique("svc_coal_a"), kSlow)));
         RawConn leader, follower;
-        ASSERT_TRUE(leader.connectTo(server.port()));
-        ASSERT_TRUE(leader.sendAll(frame));
-        pause();
-        ASSERT_TRUE(follower.connectTo(server.port()));
-        ASSERT_TRUE(follower.sendAll(frame));
-        pause();
+        attachPair(leader, follower, frame, frame, 1);
+        if (HasFatalFailure())
+            return;
         ASSERT_EQ(statOf(server, "coalesced"), 1)
             << "duplicate did not attach; leader finished too fast";
         follower.abortConn();
-        settle();
+        ASSERT_TRUE(waitFor(gaugeIs("sessions_open", 1)));
         EXPECT_EQ(statOf(server, "coalesce_cancelled"), 0)
             << "follower hangup cancelled a flight with a live leader";
 
@@ -749,15 +788,12 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
         const std::string followerFrame = frameOf(req);
 
         RawConn leader, follower;
-        ASSERT_TRUE(leader.connectTo(server.port()));
-        ASSERT_TRUE(leader.sendAll(leaderFrame));
-        pause();
-        ASSERT_TRUE(follower.connectTo(server.port()));
-        ASSERT_TRUE(follower.sendAll(followerFrame));
-        pause();
+        attachPair(leader, follower, leaderFrame, followerFrame, 2);
+        if (HasFatalFailure())
+            return;
         ASSERT_EQ(statOf(server, "coalesced"), 2);
         leader.abortConn();
-        settle();
+        ASSERT_TRUE(waitFor(gaugeIs("sessions_open", 1)));
         EXPECT_EQ(statOf(server, "coalesce_cancelled"), 0)
             << "leader hangup cancelled a flight with a live follower";
 
@@ -775,16 +811,13 @@ TEST(ServiceCoalesce, FollowerCancelSemantics)
         const std::string frame =
             frameOf(estimateOf(testKernel(runUnique("svc_coal_c"), kSlow)));
         RawConn leader, follower;
-        ASSERT_TRUE(leader.connectTo(server.port()));
-        ASSERT_TRUE(leader.sendAll(frame));
-        pause();
-        ASSERT_TRUE(follower.connectTo(server.port()));
-        ASSERT_TRUE(follower.sendAll(frame));
-        pause();
+        attachPair(leader, follower, frame, frame, 3);
+        if (HasFatalFailure())
+            return;
         ASSERT_EQ(statOf(server, "coalesced"), 3);
         leader.abortConn();
         follower.abortConn();
-        settle();
+        EXPECT_TRUE(waitFor(statIs("coalesce_cancelled", 1)));
         EXPECT_EQ(statOf(server, "coalesce_cancelled"), 1)
             << "orphaned flight was not cancelled";
     }

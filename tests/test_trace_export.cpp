@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -17,11 +19,14 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "core/power_model.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/powerscope.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "sim/gpusim.hpp"
+#include "trace/workload.hpp"
 
 using namespace aw;
 using namespace aw::obs;
@@ -165,6 +170,200 @@ TEST_F(ProfilerTest, ClearDropsEventsButKeepsEnabledState)
     EXPECT_EQ(Profiler::instance().events().size(), 1u);
 }
 
+void
+spinFor(double sec)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    volatile double sink = 0;
+    while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+               .count() < sec)
+        sink = sink + 1.0;
+}
+
+const ZoneStat *
+findZone(const std::vector<ZoneStat> &stats, const std::string &name)
+{
+    for (const ZoneStat &z : stats)
+        if (z.name == name)
+            return &z;
+    return nullptr;
+}
+
+TEST_F(ProfilerTest, NestedZonesSelfTimeSumsToOuterWallTime)
+{
+    {
+        AW_PROF_SCOPE("outer");
+        spinFor(0.02);
+        {
+            AW_PROF_SCOPE("inner");
+            spinFor(0.02);
+        }
+        spinFor(0.02);
+    }
+    auto stats = Profiler::instance().zoneStats();
+    const ZoneStat *outer = findZone(stats, "outer");
+    const ZoneStat *inner = findZone(stats, "inner");
+    ASSERT_NE(outer, nullptr);
+    ASSERT_NE(inner, nullptr);
+    EXPECT_EQ(outer->count, 1u);
+    EXPECT_EQ(inner->count, 1u);
+    // A leaf's self time is its inclusive time; the parent keeps ~40 ms
+    // of its ~60 ms. Bounds are loose for CI.
+    EXPECT_EQ(inner->selfUs, inner->totalUs);
+    EXPECT_GT(inner->selfUs, 15e3);
+    EXPECT_LT(inner->selfUs, 50e3);
+    EXPECT_GT(outer->selfUs, 30e3);
+    EXPECT_LT(outer->selfUs, 58e3);
+    EXPECT_NEAR(outer->selfUs + inner->selfUs, outer->totalUs, 1e-6);
+}
+
+TEST_F(ProfilerTest, DisabledProfilerTalliesNothing)
+{
+    Profiler::instance().setEnabled(false);
+    {
+        AW_PROF_SCOPE("off/zone");
+        AW_PROF_TALLY("off/tally");
+        spinFor(0.001);
+    }
+    EXPECT_TRUE(Profiler::instance().zoneStats().empty());
+    EXPECT_TRUE(Profiler::instance().events().empty());
+}
+
+TEST_F(ProfilerTest, TallyOnlyZoneCountsButStoresNoEvent)
+{
+    {
+        AW_PROF_SCOPE("event/zone");
+        for (int i = 0; i < 5; ++i) {
+            AW_PROF_TALLY("tally/zone");
+        }
+    }
+    auto events = Profiler::instance().events();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].name, "event/zone");
+
+    auto stats = Profiler::instance().zoneStats();
+    const ZoneStat *tally = findZone(stats, "tally/zone");
+    const ZoneStat *zone = findZone(stats, "event/zone");
+    ASSERT_NE(tally, nullptr);
+    ASSERT_NE(zone, nullptr);
+    EXPECT_EQ(tally->count, 5u);
+    // Tally-only children still subtract from the parent's self time.
+    EXPECT_NEAR(zone->selfUs + tally->selfUs, zone->totalUs, 1e-6);
+}
+
+TEST_F(ProfilerTest, TalliesFromFourThreadsMergeExactly)
+{
+    constexpr int kThreads = 4;
+    constexpr int kZones = 2000;
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t)
+        workers.emplace_back([] {
+            for (int i = 0; i < kZones; ++i) {
+                AW_PROF_SCOPE("mt/outer");
+                AW_PROF_TALLY("mt/inner");
+            }
+        });
+    for (auto &w : workers)
+        w.join();
+
+    auto stats = Profiler::instance().zoneStats();
+    const ZoneStat *outer = findZone(stats, "mt/outer");
+    const ZoneStat *inner = findZone(stats, "mt/inner");
+    ASSERT_NE(outer, nullptr);
+    ASSERT_NE(inner, nullptr);
+    EXPECT_EQ(outer->count, static_cast<uint64_t>(kThreads * kZones));
+    EXPECT_EQ(inner->count, static_cast<uint64_t>(kThreads * kZones));
+    EXPECT_NEAR(outer->selfUs + inner->selfUs, outer->totalUs, 1e-3);
+
+    // The merge is the sum of what each thread recorded: the events
+    // (one per outer zone) add up to the same inclusive total.
+    auto events = Profiler::instance().events();
+    ASSERT_EQ(events.size(), static_cast<size_t>(kThreads * kZones));
+    std::set<uint32_t> tids;
+    double eventUs = 0;
+    for (const TraceEvent &e : events) {
+        tids.insert(e.tid);
+        eventUs += e.durUs;
+    }
+    EXPECT_EQ(tids.size(), static_cast<size_t>(kThreads));
+    EXPECT_NEAR(eventUs, outer->totalUs, 1e-3);
+}
+
+/** Plausible model for the identity check: evaluation output depends
+ *  only on the activity, so no calibration is needed. */
+AccelWattchModel
+identityModel()
+{
+    AccelWattchModel model;
+    model.gpu = voltaGV100();
+    model.refVoltage = model.gpu.referenceVoltage();
+    model.constPowerW = 40.0;
+    model.idleSmW = 0.6;
+    model.calibrationSms = model.gpu.numSms;
+    for (auto &d : model.divergence) {
+        d.firstLaneW = 16.0;
+        d.addLaneW = 0.8;
+    }
+    for (size_t c = 0; c < kNumPowerComponents; ++c)
+        model.energyNj[c] = 0.5 + 0.1 * static_cast<double>(c);
+    return model;
+}
+
+TEST_F(ProfilerTest, SimulateEvaluateBitIdenticalWithProfilerToggled)
+{
+    KernelDescriptor k = makeKernel("profiler_identity",
+                                    {{OpClass::FpFma, 0.5},
+                                     {OpClass::LdGlobal, 0.5}},
+                                    16, 4);
+    k.memFootprintKb = 256;
+    const GpuSimulator sim(voltaGV100());
+    const AccelWattchModel model = identityModel();
+
+    for (bool ptx : {false, true}) {
+        for (int detail : {1, 4}) {
+            SCOPED_TRACE(std::string(ptx ? "ptx" : "sass") + " detail " +
+                         std::to_string(detail));
+            SimOptions opts;
+            opts.detailSms = detail;
+            opts.simThreads = detail;
+            auto run = [&](bool on) {
+                Profiler::instance().setEnabled(on);
+                KernelActivity act =
+                    ptx ? sim.runPtx(k, opts) : sim.runSass(k, opts);
+                PowerBreakdown p = model.evaluateKernel(act);
+                Profiler::instance().setEnabled(false);
+                return std::make_pair(act, p);
+            };
+            auto [actOff, pOff] = run(false);
+            auto [actOn, pOn] = run(true);
+
+            EXPECT_EQ(actOff.totalCycles, actOn.totalCycles);
+            EXPECT_EQ(actOff.elapsedSec, actOn.elapsedSec);
+            ASSERT_EQ(actOff.samples.size(), actOn.samples.size());
+            for (size_t i = 0; i < actOff.samples.size(); ++i) {
+                const ActivitySample &a = actOff.samples[i];
+                const ActivitySample &b = actOn.samples[i];
+                EXPECT_EQ(a.cycles, b.cycles);
+                for (size_t c = 0; c < a.accesses.size(); ++c)
+                    EXPECT_EQ(a.accesses[c], b.accesses[c]);
+            }
+            EXPECT_EQ(pOff.totalW(), pOn.totalW());
+            for (size_t c = 0; c < kNumPowerComponents; ++c)
+                EXPECT_EQ(pOff.dynamicW[c], pOn.dynamicW[c]);
+        }
+    }
+
+    // The enabled runs tallied every simulator zone: the serial path's
+    // and the sharded path's (sim/sync only exists sharded).
+    auto stats = Profiler::instance().zoneStats();
+    for (const char *zone :
+         {"sim/kernel", "sim/tracegen", "sim/setup", "sim/issue",
+          "sim/memory", "sim/sampling", "sim/sync", "sim/finalize",
+          "power/evaluate"})
+        EXPECT_NE(findZone(stats, zone), nullptr) << zone;
+}
+
 TEST(TelemetryTest, JsonDocumentHasAllSections)
 {
     Telemetry::instance().clear();
@@ -284,6 +483,40 @@ TEST_F(SinkFileTest, MetricsAndTraceSinksRoundTripThroughStrictParser)
     EXPECT_TRUE(m.at("metrics").find("sink_file_test.count") != nullptr);
     JsonValue t = parseJson(slurp(tp));
     EXPECT_TRUE(t.at("traceEvents").isArray());
+}
+
+TEST_F(SinkFileTest, MetricsSinkAloneRecordsZonesWithSelfTime)
+{
+    // The at-exit flush is the route under test, so a child process
+    // sets up the sinks and exits. In the threadsafe death-test style
+    // the child re-runs this body from the top; setenv without
+    // overwrite lets it inherit the parent's path.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    setenv("AW_METRICS_OUT", path("env/metrics.json").c_str(), 0);
+    const std::string out = std::getenv("AW_METRICS_OUT");
+    EXPECT_EXIT(
+        {
+            unsetenv("AW_TRACE_OUT");
+            unsetenv("AW_POWERSCOPE");
+            initSinksFromEnv();
+            {
+                AW_PROF_SCOPE("sink/outer");
+                AW_PROF_TALLY("sink/inner");
+            }
+            std::exit(Profiler::enabled() ? 0 : 3);
+        },
+        testing::ExitedWithCode(0), "");
+    unsetenv("AW_METRICS_OUT");
+
+    JsonValue doc = parseJson(slurp(out));
+    const JsonValue &zones = doc.at("zones");
+    ASSERT_TRUE(zones.isArray());
+    ASSERT_FALSE(zones.array.empty());
+    for (const JsonValue &z : zones.array) {
+        EXPECT_TRUE(z.find("self_us") != nullptr) << z.at("name").asString();
+        EXPECT_LE(z.at("self_us").asNumber(),
+                  z.at("total_us").asNumber() + 1e-9);
+    }
 }
 
 TEST_F(SinkFileTest, PowerScopeArtifactsRoundTripThroughStrictParser)
